@@ -37,7 +37,9 @@ pub struct SubPoint {
     pub subscribers: usize,
     /// Frames each subscriber received (identical across subscribers).
     pub frames_per_sub: u64,
-    /// Frames delivered across all subscribers.
+    /// Runs of the point summed into `delivered`, `cpu_s` and `wall_s`.
+    pub repeats: u64,
+    /// Frames delivered across all subscribers, over every repeat.
     pub delivered: u64,
     /// Process CPU seconds consumed by the whole point.
     pub cpu_s: f64,
@@ -163,6 +165,7 @@ pub fn run_point(feed: &[TimedElement<Value>], n: usize) -> SubPoint {
         label: format!("sub@N{n}"),
         subscribers: n,
         frames_per_sub,
+        repeats: 1,
         delivered,
         cpu_s,
         wall_s,
@@ -192,6 +195,7 @@ pub fn run(events: usize, counts: &[usize]) -> SubScaling {
             let mut p = run_point(&feed, n);
             for _ in 1..group {
                 let next = run_point(&feed, n);
+                p.repeats += next.repeats;
                 p.delivered += next.delivered;
                 p.cpu_s += next.cpu_s;
                 p.wall_s += next.wall_s;
@@ -278,7 +282,13 @@ mod tests {
             "the stream does not depend on the subscriber count"
         );
         assert!(one.frames_per_sub > 0, "the sweep is vacuous");
-        assert_eq!(four.delivered, 4 * four.frames_per_sub);
+        assert_eq!(
+            four.repeats,
+            256 / 4,
+            "small points repeat up to ~256 streams"
+        );
+        assert_eq!(four.delivered, four.repeats * 4 * four.frames_per_sub);
+        assert_eq!(one.delivered, one.repeats * one.frames_per_sub);
         // The producer-side gate fields are fan-out-invariant.
         assert_eq!(
             one.metrics.merge.adjusts_out,

@@ -30,7 +30,6 @@ pub mod operator;
 pub mod ops;
 pub mod pipeline;
 pub mod query;
-pub mod spsc;
 
 pub use durability::{
     CheckpointSave, CheckpointSink, EgressImage, ExecutorImage, NoCheckpoint, RunImage,

@@ -3,7 +3,7 @@
 //! [`run_pipeline`] runs a hash-partitioned merge across `K` worker
 //! threads: a router (the calling thread) routes each data element by its
 //! `(Vs, Payload)` key to one shard's bounded SPSC ring
-//! ([`crate::spsc`]), broadcasts `stable` punctuation and lifecycle
+//! ([`lmerge_core::spsc`]), broadcasts `stable` punctuation and lifecycle
 //! control (detach/attach) to *every* ring, and the workers drive
 //! independent inner merge states. Output is re-sequenced
 //! deterministically by a low-watermark aggregator:
@@ -34,7 +34,7 @@
 //! `shard_scaling`) therefore measures per-shard work in isolation and
 //! reports critical-path throughput alongside raw wall clock.
 
-use crate::spsc::{self, Producer};
+use lmerge_core::spsc::{self, Producer};
 use lmerge_core::{LogicalMerge, MergeStats};
 use lmerge_obs::{StableScope, TraceEvent, TraceSink};
 use lmerge_temporal::{Element, Payload, StreamId, Time, VTime};

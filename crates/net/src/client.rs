@@ -1,21 +1,19 @@
 //! The replayer: stream a pre-timed feed to an ingest server.
 //!
-//! One call to [`replay`] is one TCP session: handshake, stream the feed
-//! honouring credits, finish with `Bye`. The server's `Welcome` tells a
-//! rejoining client where to resume (`feed[resume_seq..]`), so driving a
-//! crash-recovery scenario is just calling `replay` again after a
-//! connection died — by choice ([`ReplayConfig::kill_after`]) or by a
-//! proxy-injected reset. A background reader thread consumes `Credit`
-//! grants (waking the sender) and `Ack` frames (tracking the last stable
-//! point the merge durably consumed).
+//! One call to [`replay`] is one session of the ingest direction of the
+//! [session protocol](crate::session), where the replayer streams, honours
+//! credits and initiates the `Bye` close. The server's `Welcome` tells a
+//! rejoining client where to resume (`feed[resume_seq..]`), so a crash
+//! drill is just calling `replay` again after a connection died — by
+//! choice ([`ReplayConfig::kill_after`]) or by a proxy-injected reset.
 
+use crate::session::{self, Window};
 use crate::wire::{self, Frame, WireError, PROTOCOL_VERSION};
 use lmerge_engine::TimedElement;
 use lmerge_temporal::{Time, Value};
-use std::io::ErrorKind;
-use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::net::Shutdown;
+use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
@@ -74,16 +72,6 @@ pub struct ReplayOutcome {
     pub acked_stable: Time,
 }
 
-/// Credit/ack state shared with the session's reader thread.
-struct ReaderState {
-    credits: Mutex<u64>,
-    granted: Condvar,
-    gone: AtomicBool,
-    acked_stable: AtomicI64,
-    /// The server echoed our `Bye`: the close is durably acknowledged.
-    bye_acked: AtomicBool,
-}
-
 /// Run one replay session against `addr`. Returns when the feed is fully
 /// streamed (`clean == true`), the configured kill point was reached, or
 /// the connection died. Transport-level failures surface as `Err`; a
@@ -93,151 +81,76 @@ pub fn replay(
     feed: &[TimedElement<Value>],
     config: &ReplayConfig,
 ) -> Result<ReplayOutcome, WireError> {
-    let mut stream = TcpStream::connect(addr)?;
-    let _ = stream.set_nodelay(true);
-    wire::write_frame(
-        &mut stream,
-        &Frame::Hello {
-            protocol: PROTOCOL_VERSION,
-            input: config.input,
-        },
-    )?;
-    let (resume_seq, credits) = match wire::read_frame(&mut stream)? {
-        Some(Frame::Welcome {
-            resume_seq,
-            credits,
-            ..
-        }) => (resume_seq, credits),
-        Some(_) => return Err(WireError::Protocol("expected welcome")),
-        None => return Err(WireError::Protocol("connection closed during handshake")),
+    let hello = Frame::Hello {
+        protocol: PROTOCOL_VERSION,
+        input: config.input,
     };
-
-    let state = Arc::new(ReaderState {
-        credits: Mutex::new(credits as u64),
-        granted: Condvar::new(),
-        gone: AtomicBool::new(false),
-        acked_stable: AtomicI64::new(Time::MIN.0),
-        bye_acked: AtomicBool::new(false),
-    });
+    let (mut stream, resume_seq, _, credits) = session::connect(addr, &hello)?;
+    let window = Window::new(credits as u64);
+    let acked = Arc::new(AtomicI64::new(Time::MIN.0));
     let reader = {
-        let stream = stream.try_clone()?;
-        let state = Arc::clone(&state);
-        thread::spawn(move || reader_loop(stream, state))
+        let acked = Arc::clone(&acked);
+        session::spawn_peer_reader(&stream, &window, move |_, stable| {
+            acked.store(stable.0, Ordering::Release)
+        })?
     };
 
     let mut sent = 0u64;
-    let outcome = |sent, clean, state: &ReaderState| ReplayOutcome {
+    let clean = 'session: {
+        for (i, te) in feed.iter().enumerate().skip(resume_seq as usize) {
+            // No credit ever again means the server vanished mid-stream:
+            // resumable, not fatal.
+            if window.take(1, || {}).is_none() {
+                break 'session false;
+            }
+            let frame = Frame::Data {
+                seq: i as u64,
+                at: te.at,
+                element: te.element.clone(),
+            };
+            if wire::write_frame(&mut stream, &frame).is_err() {
+                break 'session false;
+            }
+            sent += 1;
+            if config.pace_us > 0 {
+                thread::sleep(Duration::from_micros(config.pace_us));
+            }
+            if config.kill_after == Some(sent) {
+                break 'session false;
+            }
+        }
+        // A written-but-unechoed `Bye` is NOT a clean close — a transport
+        // fault may have eaten it after our write succeeded — so the
+        // caller resumes (from `resume_seq == feed.len()`, i.e. it just
+        // re-sends the `Bye`).
+        session::close(&mut stream, &window)
+    };
+    let _ = stream.shutdown(Shutdown::Both);
+    let _ = reader.join();
+    Ok(ReplayOutcome {
         sent,
         resumed_from: resume_seq,
         clean,
-        acked_stable: Time(state.acked_stable.load(Ordering::Acquire)),
-    };
-
-    for (i, te) in feed.iter().enumerate().skip(resume_seq as usize) {
-        if let Err(e) = take_credit(&state) {
-            let _ = reader.join();
-            // The server vanished mid-stream: resumable, not fatal.
-            let _ = e;
-            return Ok(outcome(sent, false, &state));
-        }
-        let frame = Frame::Data {
-            seq: i as u64,
-            at: te.at,
-            element: te.element.clone(),
-        };
-        if wire::write_frame(&mut stream, &frame).is_err() {
-            let _ = stream.shutdown(Shutdown::Both);
-            let _ = reader.join();
-            return Ok(outcome(sent, false, &state));
-        }
-        sent += 1;
-        if config.pace_us > 0 {
-            thread::sleep(Duration::from_micros(config.pace_us));
-        }
-        if config.kill_after == Some(sent) {
-            let _ = stream.shutdown(Shutdown::Both);
-            state.gone.store(true, Ordering::Relaxed);
-            let _ = reader.join();
-            return Ok(outcome(sent, false, &state));
-        }
-    }
-
-    if wire::write_frame(&mut stream, &Frame::Bye).is_err() {
-        let _ = stream.shutdown(Shutdown::Both);
-        let _ = reader.join();
-        return Ok(outcome(sent, false, &state));
-    }
-    // Half-close: the server reads the Bye, echoes it as an ack, and
-    // drops the session, which closes its end and lets our reader
-    // thread see EOF. A written-but-unacked `Bye` is NOT a clean close
-    // — a transport fault may have eaten it after our write succeeded —
-    // so the session reports unclean and the caller resumes (from
-    // `resume_seq == feed.len()`, i.e. it just re-sends the `Bye`).
-    let _ = stream.shutdown(Shutdown::Write);
-    let _ = reader.join();
-    let clean = state.bye_acked.load(Ordering::Acquire);
-    Ok(outcome(sent, clean, &state))
+        acked_stable: Time(acked.load(Ordering::Acquire)),
+    })
 }
 
 /// Replay to completion, reconnecting after crashes or injected resets.
-/// `pauses` real time briefly between attempts so the server can recycle
-/// the session. Errors only if `max_attempts` sessions all fail to
-/// finish the feed.
+/// Pauses real time briefly between attempts so the server can recycle
+/// the session. Errors if `max_attempts` sessions all fail to finish the
+/// feed.
 pub fn replay_until_clean(
     addr: &str,
     feed: &[TimedElement<Value>],
     config: &ReplayConfig,
     max_attempts: usize,
 ) -> Result<ReplayOutcome, WireError> {
-    let mut last = WireError::Protocol("no attempts made");
-    for _ in 0..max_attempts {
-        match replay(addr, feed, config) {
-            Ok(outcome) if outcome.clean => return Ok(outcome),
-            Ok(_) => {} // severed: reconnect and resume
-            Err(e) => last = e,
-        }
-        thread::sleep(Duration::from_millis(20));
-    }
-    Err(last)
-}
-
-fn take_credit(state: &ReaderState) -> Result<(), WireError> {
-    let mut credits = state.credits.lock().unwrap();
-    loop {
-        if *credits > 0 {
-            *credits -= 1;
-            return Ok(());
-        }
-        if state.gone.load(Ordering::Relaxed) {
-            return Err(WireError::Io(ErrorKind::ConnectionReset));
-        }
-        let (guard, _timeout) = state
-            .granted
-            .wait_timeout(credits, Duration::from_millis(100))
-            .unwrap();
-        credits = guard;
-    }
-}
-
-fn reader_loop(mut stream: TcpStream, state: Arc<ReaderState>) {
-    loop {
-        match wire::read_frame(&mut stream) {
-            Ok(Some(Frame::Credit { n })) => {
-                *state.credits.lock().unwrap() += n as u64;
-                state.granted.notify_all();
-            }
-            Ok(Some(Frame::Ack { stable, .. })) => {
-                state.acked_stable.store(stable.0, Ordering::Release);
-            }
-            Ok(Some(Frame::Bye)) => {
-                state.bye_acked.store(true, Ordering::Release);
-                break;
-            }
-            // EOF, an unexpected frame, or any transport error ends the
-            // session from our side too.
-            Ok(Some(_)) | Ok(None) | Err(_) => break,
-        }
-    }
-    state.gone.store(true, Ordering::Relaxed);
-    state.granted.notify_all();
+    let mut last = None;
+    session::reconnect(max_attempts, Duration::from_millis(20), |_| {
+        let outcome = replay(addr, feed, config)?;
+        last = Some(outcome);
+        Ok(outcome.clean)
+    })?;
+    last.filter(|o| o.clean)
+        .ok_or(WireError::Protocol("no session closed cleanly"))
 }

@@ -22,6 +22,9 @@
 //! * [`egress`] — [`egress::NetHooks`], a [`lmerge_engine::RunHooks`]
 //!   wrapper that captures the merged output stream and optionally
 //!   serializes it back onto the wire;
+//! * [`session`] — the session core both directions share: the acceptor,
+//!   the session registry, the credit window, the peer reader, the
+//!   idle-bounded `Bye` close and the reconnect loop;
 //! * [`proxy`] — a chaos proxy that forwards bytes while injecting
 //!   seeded delays, stalls, and connection resets, so the conformance
 //!   oracle can judge merge output under *real* network faults rather
@@ -38,6 +41,7 @@ pub mod client;
 pub mod egress;
 pub mod proxy;
 pub mod server;
+pub mod session;
 pub mod wire;
 
 pub use client::{replay, ReplayConfig, ReplayOutcome};

@@ -18,11 +18,12 @@
 //! across connections, so a client that reconnects after a reset
 //! continues through the *remaining* faults instead of replaying them.
 
+use crate::session::Acceptor;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
+use std::thread;
 use std::time::Duration;
 
 /// One transport-layer fault.
@@ -93,19 +94,15 @@ struct PlanState {
 
 /// A TCP proxy in front of one upstream address.
 pub struct ChaosProxy {
-    local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     state: Arc<Mutex<PlanState>>,
-    accept: Option<JoinHandle<()>>,
+    accept: Acceptor,
 }
 
 impl ChaosProxy {
     /// Listen on an ephemeral local port, forwarding each accepted
     /// connection to `upstream` with `plan`'s faults applied.
     pub fn spawn(upstream: SocketAddr, plan: ProxyPlan) -> io::Result<ChaosProxy> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let state = Arc::new(Mutex::new(PlanState {
             faults: plan.faults,
@@ -113,22 +110,20 @@ impl ChaosProxy {
             next: 0,
             resets: 0,
         }));
-        let accept = {
-            let shutdown = Arc::clone(&shutdown);
-            let state = Arc::clone(&state);
-            thread::spawn(move || accept_loop(listener, upstream, shutdown, state))
-        };
+        let (flag, plan) = (Arc::clone(&shutdown), Arc::clone(&state));
+        let accept = Acceptor::spawn(TcpListener::bind("127.0.0.1:0")?, move |client| {
+            carry(client, upstream, &plan, &flag)
+        })?;
         Ok(ChaosProxy {
-            local_addr,
             shutdown,
             state,
-            accept: Some(accept),
+            accept,
         })
     }
 
     /// The address clients should connect to instead of the upstream.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.accept.local_addr()
     }
 
     /// Faults fired so far.
@@ -140,87 +135,44 @@ impl ChaosProxy {
     pub fn resets(&self) -> u64 {
         self.state.lock().unwrap().resets
     }
-
-    /// Stop accepting and join the accept loop (live forwarders drain on
-    /// their own as their sockets close).
-    pub fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-    }
 }
 
 impl Drop for ChaosProxy {
+    /// Stop the forwarders' read loops; dropping the acceptor then stops
+    /// accepting. Live forwarders drain on their own as sockets close.
     fn drop(&mut self) {
-        self.shutdown();
+        self.shutdown.store(true, Ordering::Relaxed);
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
+/// Carry one accepted connection to `upstream`.
+fn carry(
+    client: TcpStream,
     upstream: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    state: Arc<Mutex<PlanState>>,
+    plan: &Mutex<PlanState>,
+    shutdown: &Arc<AtomicBool>,
 ) {
-    loop {
-        if shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        match listener.accept() {
-            Ok((client, _)) => {
-                let Ok(server) = TcpStream::connect(upstream) else {
-                    continue;
-                };
-                let _ = client.set_nodelay(true);
-                let _ = server.set_nodelay(true);
-                // Server→client leg: transparent copy.
-                if let (Ok(from), Ok(to)) = (server.try_clone(), client.try_clone()) {
-                    let shutdown = Arc::clone(&shutdown);
-                    thread::spawn(move || forward_plain(from, to, shutdown));
-                }
-                // Client→server leg: fault-injecting copy.
-                let state = Arc::clone(&state);
-                let shutdown = Arc::clone(&shutdown);
-                thread::spawn(move || forward_faulted(client, server, state, shutdown));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_micros(500));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(1)),
-        }
+    let Ok(server) = TcpStream::connect(upstream) else {
+        return;
+    };
+    let _ = client.set_nodelay(true);
+    let _ = server.set_nodelay(true);
+    // Server→client leg: transparent copy.
+    if let (Ok(from), Ok(to)) = (server.try_clone(), client.try_clone()) {
+        let shutdown = Arc::clone(shutdown);
+        thread::spawn(move || forward(from, to, None, &shutdown));
     }
+    // Client→server leg: fault-injecting copy, on this handler thread.
+    forward(client, server, Some(plan), shutdown);
 }
 
-fn forward_plain(mut from: TcpStream, mut to: TcpStream, shutdown: Arc<AtomicBool>) {
-    let _ = from.set_read_timeout(Some(Duration::from_millis(100)));
-    let mut buf = [0u8; 4096];
-    loop {
-        match from.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => {
-                if to.write_all(&buf[..n]).is_err() {
-                    break;
-                }
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if shutdown.load(Ordering::Relaxed) {
-                    break;
-                }
-            }
-            Err(_) => break,
-        }
-    }
-    let _ = to.shutdown(Shutdown::Write);
-}
-
-fn forward_faulted(
+/// Copy `from` to `to` until either end closes or the proxy shuts down,
+/// firing the plan's faults if this is the faulted leg.
+fn forward(
     mut from: TcpStream,
     mut to: TcpStream,
-    state: Arc<Mutex<PlanState>>,
-    shutdown: Arc<AtomicBool>,
+    plan: Option<&Mutex<PlanState>>,
+    shutdown: &AtomicBool,
 ) {
     let _ = from.set_read_timeout(Some(Duration::from_millis(100)));
     let mut buf = [0u8; 1024];
@@ -242,7 +194,7 @@ fn forward_faulted(
         // lock is held only to *claim* faults; sleeps happen outside it
         // so a reconnected session is never blocked by plan bookkeeping.
         let mut claimed = Vec::new();
-        {
+        if let Some(state) = plan {
             let mut st = state.lock().unwrap();
             let end = st.forwarded + n as u64;
             while st.next < st.faults.len() && st.faults[st.next].0 < end {

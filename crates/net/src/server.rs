@@ -1,50 +1,37 @@
 //! The ingest server: one TCP connection per input, feeding decoded
 //! elements into the virtual-time executor through bounded SPSC rings.
 //!
-//! # Session lifecycle
-//!
-//! A client opens a connection and sends `Hello { protocol, input }`. The
-//! server validates the version and input id, claims the input's producer
-//! half (waiting briefly if a dying predecessor session still holds it),
-//! and answers `Welcome { resume_seq, resume_stable, credits }`:
+//! This is the ingest direction of the [session protocol](crate::session).
+//! The server validates `Hello { protocol, input }`, claims the input's
+//! producer half (a rejoin waits for a dying predecessor to hand it back),
+//! and answers `Welcome`:
 //!
 //! * `resume_seq` — the next data sequence the server will accept. Data
-//!   sequence numbers are the *feed index*, so a rejoining replayer
-//!   simply skips `feed[..resume_seq]` — everything the server already
-//!   holds (acked **or** still sitting un-popped in the ring) is covered,
-//!   giving exactly-once delivery across crashes without any replay log.
-//! * `resume_stable` — the last stable point the merge side actually
-//!   consumed (the paper's catch-up point for a rejoining replica).
-//! * `credits` — free ring slots: how many data frames the client may
-//!   send before waiting for `Credit` grants.
+//!   sequence numbers are the *feed index*, so a rejoining replayer skips
+//!   `feed[..resume_seq]`: everything the server holds, acked or still in
+//!   the ring, is covered — exactly-once across crashes, no replay log.
+//! * `resume_stable` — the last stable point the merge side consumed (the
+//!   paper's catch-up point for a rejoining replica).
+//! * `credits` — free ring slots.
 //!
-//! # Backpressure
-//!
-//! The ring is the hard limit: a session thread that finds it full spins
-//! (the socket's TCP window then pushes back on the client). Credits are
-//! the *advisory* layer that keeps well-behaved clients from ever hitting
-//! that spin: the merge-side [`NetSource`] grants `credit_batch` credits
-//! back each time it has popped that many items. Occupancy is sampled
-//! into the server's own tracer as `net_queue_sampled` events alongside
-//! `credit_granted`, `session_opened`, and `session_closed`.
-//!
-//! # Trace purity
-//!
-//! The server owns a private [`Tracer`]. Network-session events never
-//! touch the *run's* tracer — a networked run must produce a trace
-//! byte-identical to the in-process run of the same feeds, and it could
-//! not if socket lifecycle noise leaked in.
+//! The ring is the hard in-flight limit: a session that finds it full
+//! spins, and TCP pushes back on the client. Credits keep well-behaved
+//! clients out of that spin: [`NetSource`] grants `credit_batch` back per
+//! that many pops. Session, credit and ring-occupancy events go to the
+//! server's private [`Tracer`], never the run's, whose trace must stay
+//! byte-identical to an in-process run of the same feeds.
 
+use crate::session::{Acceptor, Registry, SessionCounters};
 use crate::wire::{self, Frame, WireError, PROTOCOL_VERSION};
 use lmerge_core::spsc::{self, Consumer, Producer};
 use lmerge_engine::{Source, TimedElement};
 use lmerge_obs::{Counter, Gauge, MetricsRegistry, TraceEvent, TraceSink, Tracer};
 use lmerge_temporal::{Element, Time, VTime, Value};
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::{self, JoinHandle};
+use std::thread;
 use std::time::Duration;
 
 /// One decoded element in flight between a session thread and the merge.
@@ -80,12 +67,10 @@ impl IngestConfig {
 /// live-ops counterpart of the tracer's deterministic session events:
 /// socket byte counts, spin retries, and corruption counts depend on real
 /// network timing, so they live in registry atomics and never touch the
-/// trace (see "Trace purity" above).
+/// trace.
 struct InputNetMetrics {
-    sessions_opened: Counter,
+    sessions: SessionCounters,
     resumes: Counter,
-    clean_closes: Counter,
-    lost_closes: Counter,
     frames: Counter,
     bytes: Counter,
     credits: Counter,
@@ -109,61 +94,41 @@ impl NetMetrics {
             .map(|i| {
                 let id = i.to_string();
                 let l: [(&str, &str); 1] = [("input", id.as_str())];
+                let counter = |name, help| registry.counter(name, help, &l);
+                let gauge = |name, help| registry.gauge(name, help, &l);
                 InputNetMetrics {
-                    sessions_opened: registry.counter(
-                        "lmerge_net_sessions_opened_total",
-                        "Ingest sessions accepted (handshake completed), per input.",
-                        &l,
-                    ),
-                    resumes: registry.counter(
+                    sessions: SessionCounters::register(registry, "lmerge_net", &l),
+                    resumes: counter(
                         "lmerge_net_resumes_total",
                         "Sessions that resumed mid-stream (welcomed with resume_seq > 0).",
-                        &l,
                     ),
-                    clean_closes: registry.counter(
-                        "lmerge_net_session_closes_clean_total",
-                        "Sessions that ended with a clean Bye.",
-                        &l,
-                    ),
-                    lost_closes: registry.counter(
-                        "lmerge_net_session_closes_lost_total",
-                        "Sessions that ended uncleanly (EOF, gap, corruption, i/o error).",
-                        &l,
-                    ),
-                    frames: registry.counter(
+                    frames: counter(
                         "lmerge_net_frames_total",
                         "Data frames accepted into the ring, per input.",
-                        &l,
                     ),
-                    bytes: registry.counter(
+                    bytes: counter(
                         "lmerge_net_bytes_total",
                         "Wire bytes of accepted data frames (envelope + payload + checksum).",
-                        &l,
                     ),
-                    credits: registry.counter(
+                    credits: counter(
                         "lmerge_net_credits_granted_total",
                         "Flow-control credits granted back to the client.",
-                        &l,
                     ),
-                    ring_full_stalls: registry.counter(
+                    ring_full_stalls: counter(
                         "lmerge_net_ring_full_stalls_total",
                         "Session-thread spin retries on a full ingest ring (credit starvation).",
-                        &l,
                     ),
-                    checksum_failures: registry.counter(
+                    checksum_failures: counter(
                         "lmerge_net_checksum_failures_total",
                         "Data frames rejected for a checksum mismatch.",
-                        &l,
                     ),
-                    next_seq: registry.gauge(
+                    next_seq: gauge(
                         "lmerge_net_next_seq",
                         "Next data sequence the server will accept (frames consumed so far).",
-                        &l,
                     ),
-                    queue_depth: registry.gauge(
+                    queue_depth: gauge(
                         "lmerge_net_queue_depth",
                         "Ingest ring occupancy sampled at each credit grant.",
-                        &l,
                     ),
                 }
             })
@@ -197,6 +162,7 @@ struct InputShared {
 /// State shared by every thread the server spawns.
 struct ServerShared {
     inputs: Vec<InputShared>,
+    sessions: Registry,
     shutdown: AtomicBool,
     tracer: Mutex<Tracer>,
     credit_batch: u32,
@@ -223,10 +189,9 @@ impl ServerShared {
 
 /// A TCP ingest server feeding `inputs` independent element streams.
 pub struct IngestServer {
-    local_addr: SocketAddr,
     shared: Arc<ServerShared>,
     consumers: Vec<Option<Consumer<Item>>>,
-    accept: Option<JoinHandle<()>>,
+    accept: Acceptor,
 }
 
 impl IngestServer {
@@ -251,8 +216,6 @@ impl IngestServer {
             "ring_capacity must exceed credit_batch or clients starve"
         );
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
         let mut inputs = Vec::with_capacity(config.inputs);
         let mut consumers = Vec::with_capacity(config.inputs);
         for _ in 0..config.inputs {
@@ -271,24 +234,24 @@ impl IngestServer {
         }
         let shared = Arc::new(ServerShared {
             inputs,
+            sessions: Registry::default(),
             shutdown: AtomicBool::new(false),
             tracer: Mutex::new(Tracer::new()),
             credit_batch: config.credit_batch,
             metrics: NetMetrics::new(registry, config.inputs),
         });
-        let accept_shared = Arc::clone(&shared);
-        let accept = thread::spawn(move || accept_loop(listener, accept_shared));
+        let handler_shared = Arc::clone(&shared);
+        let accept = Acceptor::spawn(listener, move |s| session(Arc::clone(&handler_shared), s))?;
         Ok(IngestServer {
-            local_addr,
             shared,
             consumers,
-            accept: Some(accept),
+            accept,
         })
     }
 
     /// The bound address (connect clients and proxies here).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.accept.local_addr()
     }
 
     /// Take the merge-side sources, one per input, in input order. Each
@@ -310,15 +273,6 @@ impl IngestServer {
     /// The server's private session tracer (session/credit/queue events).
     pub fn tracer(&self) -> MutexGuard<'_, Tracer> {
         self.shared.tracer.lock().unwrap()
-    }
-
-    /// Per-input transport resume cursors for a checkpoint: `(frames the
-    /// merge side has consumed, last acked stable point)`. The *consumed*
-    /// count — not `next_seq` — is the exactly-once resume point: frames
-    /// pushed into the ring but never popped die with the process, so a
-    /// restarted server must have the client re-send them.
-    pub fn cursors(&self) -> Vec<(u64, i64)> {
-        self.cursor_handle().cursors()
     }
 
     /// A cloneable handle reading the live resume cursors — what a
@@ -351,35 +305,14 @@ impl IngestServer {
     /// clean closes into lost ones. Call this between merge completion
     /// and [`shutdown`](IngestServer::shutdown).
     pub fn await_sessions_closed(&self, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            let all_closed = self
-                .shared
-                .metrics
-                .inputs
-                .iter()
-                .all(|m| m.clean_closes.get() + m.lost_closes.get() >= m.sessions_opened.get());
-            if all_closed {
-                return true;
-            }
-            if std::time::Instant::now() >= deadline {
-                return false;
-            }
-            thread::sleep(Duration::from_micros(200));
-        }
+        self.shared.sessions.await_closed(timeout)
     }
 
     /// Stop accepting, sever live sessions, and join the accept loop.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
-        for input in &self.shared.inputs {
-            if let Some(w) = input.writer.lock().unwrap().as_ref() {
-                let _ = w.shutdown(Shutdown::Both);
-            }
-        }
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+        self.shared.sessions.sever_all();
+        self.accept.stop();
     }
 }
 
@@ -389,32 +322,21 @@ impl Drop for IngestServer {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
-    loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let session_shared = Arc::clone(&shared);
-                thread::spawn(move || session(session_shared, stream));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_micros(500));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(1)),
-        }
-    }
-}
+/// How long a rejoining session waits for its predecessor to hand the
+/// input's producer back.
+const CLAIM_GRACE: Duration = Duration::from_secs(2);
 
 /// Serve one connection: handshake, then pump data frames into the ring.
 fn session(shared: Arc<ServerShared>, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
-    let input = match wire::read_frame(&mut stream) {
-        Ok(Some(Frame::Hello { protocol, input })) if protocol == PROTOCOL_VERSION => input,
-        // Wrong version, wrong frame, garbage, or EOF: drop the
-        // connection; there is no session to resume.
-        _ => return,
+    // Wrong version, wrong frame, garbage, or EOF: drop the connection;
+    // there is no session to resume.
+    let Ok(Some(Frame::Hello {
+        protocol: PROTOCOL_VERSION,
+        input,
+    })) = wire::read_frame(&mut stream)
+    else {
+        return;
     };
     if input as usize >= shared.inputs.len() {
         return;
@@ -424,18 +346,13 @@ fn session(shared: Arc<ServerShared>, mut stream: TcpStream) {
 
     // Claim the producer. After an unclean disconnect the predecessor
     // session may still be unwinding, so wait a grace period for it to
-    // hand the producer back rather than rejecting the rejoin.
+    // hand the producer back (its close wakes the registry) rather than
+    // rejecting the rejoin.
     let mut producer = None;
-    for _ in 0..4000 {
-        if let Some(p) = slot.producer.lock().unwrap().take() {
-            producer = Some(p);
-            break;
-        }
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        thread::sleep(Duration::from_micros(500));
-    }
+    shared.sessions.wait_until(CLAIM_GRACE, |_| {
+        producer = slot.producer.lock().unwrap().take();
+        producer.is_some() || shared.shutdown.load(Ordering::Relaxed)
+    });
     let Some(mut producer) = producer else { return };
 
     let resume_seq = slot.next_seq.load(Ordering::Acquire);
@@ -447,6 +364,7 @@ fn session(shared: Arc<ServerShared>, mut stream: TcpStream) {
     };
     if wire::write_frame(&mut stream, &welcome).is_err() {
         *slot.producer.lock().unwrap() = Some(producer);
+        shared.sessions.notify();
         return;
     }
     if let Ok(w) = stream.try_clone() {
@@ -457,7 +375,7 @@ fn session(shared: Arc<ServerShared>, mut stream: TcpStream) {
         input,
         resume_seq,
     });
-    live.sessions_opened.inc();
+    let id = shared.sessions.open(&stream, &live.sessions);
     if resume_seq > 0 {
         live.resumes.inc();
     }
@@ -525,22 +443,21 @@ fn session(shared: Arc<ServerShared>, mut stream: TcpStream) {
         input,
         clean,
     });
-    if clean {
-        live.clean_closes.inc();
-    } else {
-        live.lost_closes.inc();
-    }
+    shared.sessions.close(id, clean, &live.sessions);
 }
 
-/// A cloneable reader of the server's live per-input resume cursors
-/// (see [`IngestServer::cursors`]).
+/// A cloneable reader of the server's live per-input resume cursors.
 #[derive(Clone)]
 pub struct CursorHandle {
     shared: Arc<ServerShared>,
 }
 
 impl CursorHandle {
-    /// `(popped frames, acked stable)` per input, in input order.
+    /// `(popped frames, acked stable)` per input, in input order: the
+    /// transport resume cursors for a checkpoint. The *consumed* count —
+    /// not `next_seq` — is the exactly-once resume point: frames pushed
+    /// into the ring but never popped die with the process, so a
+    /// restarted server must have the client re-send them.
     ///
     /// A pop count includes the frame the executor has staged but not
     /// yet merged; `DurableCheckpointSink` discounts staged frames when
@@ -572,11 +489,6 @@ pub struct NetSource {
 }
 
 impl NetSource {
-    /// The input id this source feeds.
-    pub fn input(&self) -> u32 {
-        self.input
-    }
-
     fn after_pop(&mut self, item: &Item) {
         let slot = &self.shared.inputs[self.input as usize];
         let pops = slot.pops.fetch_add(1, Ordering::Relaxed) + 1;
@@ -670,9 +582,6 @@ pub fn drain_sources(sources: Vec<NetSource>) -> Vec<Vec<TimedElement<Value>>> {
         .map(|h| h.join().expect("drain thread panicked"))
         .collect()
 }
-
-/// Errors an ingest client/server interaction can surface to callers.
-pub type NetResult<T> = Result<T, WireError>;
 
 #[cfg(test)]
 mod tests {
@@ -860,7 +769,7 @@ mod tests {
         for _ in 0..25 {
             got.push(source.next().expect("killed client's frames all arrive"));
         }
-        let cursors = server.cursors();
+        let cursors = server.cursor_handle().cursors();
         assert_eq!(cursors, vec![(25, Time::MIN.0)]);
         drop(source);
         drop(server);
@@ -912,5 +821,38 @@ mod tests {
         let got = drain_sources(server.sources()).remove(0);
         client.join().unwrap();
         assert_eq!(got, sent);
+    }
+
+    #[test]
+    fn garbage_or_wrong_version_first_frame_never_opens_a_session() {
+        let registry = MetricsRegistry::new();
+        let mut server =
+            IngestServer::bind_with_metrics("127.0.0.1:0", IngestConfig::new(1), &registry)
+                .unwrap();
+        let wrong_version = wire::encode(&Frame::Hello {
+            protocol: PROTOCOL_VERSION + 1,
+            input: 0,
+        });
+        for first in [b"not a frame at all".to_vec(), wrong_version] {
+            let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+            io::Write::write_all(&mut stream, &first).unwrap();
+            assert!(matches!(wire::read_frame(&mut stream), Ok(None) | Err(_)));
+        }
+        assert_eq!(server.shared.sessions.counts().opened, 0);
+        assert_eq!(
+            registry.sum_value("lmerge_net_sessions_opened_total"),
+            Some(0.0)
+        );
+        assert!(server.await_sessions_closed(Duration::ZERO), "nothing open");
+        // A well-formed replayer afterwards is the first session.
+        let addr = server.local_addr().to_string();
+        let sent = feed(3);
+        let client_feed = sent.clone();
+        let client =
+            thread::spawn(move || replay(&addr, &client_feed, &ReplayConfig::new(0)).unwrap());
+        assert_eq!(drain_sources(server.sources()).remove(0), sent);
+        assert!(client.join().unwrap().clean);
+        assert!(server.await_sessions_closed(Duration::from_secs(5)));
+        assert_eq!(server.shared.sessions.counts().opened, 1);
     }
 }

@@ -1,10 +1,8 @@
 //! `lmerge-replay`: stream one physically divergent replica of a
-//! generated feed to an ingest server — or, with `--follow`, tail the
-//! merged output live from a subscription endpoint.
+//! generated feed to an ingest server.
 //!
 //! ```text
 //! lmerge-replay --addr 127.0.0.1:7171 --input 0 --events 500 --seed 42
-//! lmerge-replay --follow 127.0.0.1:7172 --subscriber 9
 //! ```
 //!
 //! Every replica of the same `--seed` shares one logical history; the
@@ -13,18 +11,12 @@
 //! crate's divergence model). `--pace-us` throttles real-time send rate;
 //! `--kill-after N` severs the connection after N frames to exercise the
 //! server's resume path, and `--attempts` reconnects until the feed
-//! finishes cleanly.
-//!
-//! `--follow SUB_ADDR` turns the replayer around: instead of feeding an
-//! input it subscribes to the merge's output and prints the stream's
-//! progress as stable points advance — replay in, tail out, the whole
-//! pipeline demonstrated end to end by one binary on each side.
+//! finishes cleanly. To tail the merged output instead, use
+//! `lmerge-subscribe`.
 
 use lmerge_engine::TimedElement;
 use lmerge_gen::{assign_times, diverge, generate, DivergenceConfig, GenConfig};
 use lmerge_net::client::{replay_until_clean, ReplayConfig};
-use lmerge_sub::{subscribe_until_finished, SubscribeConfig};
-use lmerge_temporal::Element;
 use std::process::ExitCode;
 
 struct Args {
@@ -36,8 +28,6 @@ struct Args {
     pace_us: u64,
     kill_after: Option<u64>,
     attempts: usize,
-    follow: Option<String>,
-    subscriber: u64,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -50,8 +40,6 @@ fn parse_args() -> Result<Args, String> {
         pace_us: 0,
         kill_after: None,
         attempts: 1,
-        follow: None,
-        subscriber: 0,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -74,58 +62,16 @@ fn parse_args() -> Result<Args, String> {
                 args.kill_after = Some(parse("--kill-after", value("--kill-after")?)?)
             }
             "--attempts" => args.attempts = parse("--attempts", value("--attempts")?)? as usize,
-            "--follow" => args.follow = Some(value("--follow")?),
-            "--subscriber" => args.subscriber = parse("--subscriber", value("--subscriber")?)?,
             "--help" | "-h" => {
                 return Err("usage: lmerge-replay [--addr HOST:PORT] [--input I] \
                      [--events N] [--seed S] [--rate EPS] [--pace-us US] \
-                     [--kill-after N] [--attempts N] \
-                     | lmerge-replay --follow SUB_ADDR [--subscriber ID] [--attempts N]"
+                     [--kill-after N] [--attempts N]"
                     .to_string())
             }
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
     Ok(args)
-}
-
-/// Tail the merged output from a subscription endpoint.
-fn follow(addr: &str, subscriber: u64, attempts: u32) -> ExitCode {
-    let config = SubscribeConfig::new(subscriber);
-    match subscribe_until_finished(addr, &config, attempts.max(1)) {
-        Ok(outcome) => {
-            let mut inserts = 0u64;
-            let mut adjusts = 0u64;
-            let mut last_stable = None;
-            for (_, _, e) in &outcome.frames {
-                match e {
-                    Element::Insert(_) => inserts += 1,
-                    Element::Adjust { .. } => adjusts += 1,
-                    Element::Stable(t) => last_stable = Some(*t),
-                }
-            }
-            println!(
-                "followed {} frames from {} (resumed from {}): {} inserts, {} adjusts, \
-                 stable through {:?}, clean={}",
-                outcome.received,
-                addr,
-                outcome.resumed_from,
-                inserts,
-                adjusts,
-                last_stable,
-                outcome.clean
-            );
-            if outcome.clean && outcome.finished {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("follow failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 fn main() -> ExitCode {
@@ -136,10 +82,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-
-    if let Some(sub_addr) = &args.follow {
-        return follow(sub_addr, args.subscriber, args.attempts as u32);
-    }
 
     let reference = generate(&GenConfig::small(args.events, args.seed).with_stable_freq(0.06));
     let divergence = DivergenceConfig {

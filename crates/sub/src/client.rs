@@ -1,19 +1,20 @@
 //! The subscriber client: connect, `Subscribe`, consume the fanned-out
 //! stream under the credit protocol, and stitch across reconnects.
 //!
-//! The client is the receiving mirror of the ingest replayer: it grants
-//! credits as it consumes, acks its durable cursor at stable points (the
-//! server pins retention and checkpoints the cursor), deduplicates any
-//! resume overlap by sequence, and treats a mid-stream `Welcome` as a
-//! demotion notice — the server jumped it to the compaction horizon.
-//! [`subscribe_until_finished`] reconnects with `resume_from` after
-//! unclean drops until the close handshake lands, which is what gives a
-//! crashing subscriber an exactly-once view of the merged output.
+//! The client is the receiving side of the [session
+//! protocol](lmerge_net::session): it grants credits as it consumes, acks
+//! its durable cursor at stable points, deduplicates resume overlap by
+//! sequence, treats a mid-stream `Welcome` as a demotion notice, and
+//! echoes the server's `Bye`. [`subscribe_until_finished`] reconnects with
+//! `resume_from` after unclean drops, which gives a crashing subscriber an
+//! exactly-once view of the merged output.
 
+use lmerge_net::session;
 use lmerge_net::wire::{self, Frame, PROTOCOL_VERSION};
 use lmerge_net::WireError;
 use lmerge_temporal::{Element, Time, VTime, Value};
-use std::net::TcpStream;
+use std::io::BufReader;
+use std::time::Duration;
 
 /// One subscription attempt's parameters.
 #[derive(Clone, Debug)]
@@ -76,7 +77,7 @@ impl SubscribeConfig {
 }
 
 /// What one subscription (or a stitched sequence of attempts) received.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SubOutcome {
     /// Accepted frames in order: `(seq, at, element)`.
     pub frames: Vec<(u64, VTime, Element<Value>)>,
@@ -108,44 +109,25 @@ pub struct SubOutcome {
 /// [`subscribe_until_finished`]); only handshake-level failures are
 /// `Err`.
 pub fn subscribe(addr: &str, config: &SubscribeConfig) -> Result<SubOutcome, WireError> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| WireError::Io(e.kind()))?;
-    let _ = stream.set_nodelay(true);
+    let hello = Frame::Subscribe {
+        protocol: PROTOCOL_VERSION,
+        subscriber: config.subscriber,
+        filter: config.filter,
+        resume_from: config.resume_from,
+        credits: config.credits,
+    };
+    let (mut stream, resumed_from, resume_stable, _) = session::connect(addr, &hello)?;
     // Reads go through a buffer: the server coalesces each epoch into a
     // few large writes, and draining them frame-by-frame with raw reads
     // would cost thousands of syscalls per subscriber. Writes (acks,
     // credit grants, the Bye echo) keep using the unbuffered half.
-    let mut reader =
-        std::io::BufReader::new(stream.try_clone().map_err(|e| WireError::Io(e.kind()))?);
-    wire::write_frame(
-        &mut stream,
-        &Frame::Subscribe {
-            protocol: PROTOCOL_VERSION,
-            subscriber: config.subscriber,
-            filter: config.filter,
-            resume_from: config.resume_from,
-            credits: config.credits,
-        },
-    )?;
-    let (resumed_from, resume_stable) = match wire::read_frame(&mut reader)? {
-        Some(Frame::Welcome {
-            resume_seq,
-            resume_stable,
-            ..
-        }) => (resume_seq, resume_stable),
-        Some(_) => return Err(WireError::Protocol("expected Welcome after Subscribe")),
-        None => return Err(WireError::Protocol("server closed during handshake")),
-    };
+    let mut reader = BufReader::new(stream.try_clone()?);
 
     let mut outcome = SubOutcome {
-        frames: Vec::new(),
-        bytes: Vec::new(),
         resumed_from,
         resume_stable,
-        received: 0,
-        demotions: 0,
         attempts: 1,
-        clean: false,
-        finished: false,
+        ..SubOutcome::default()
     };
     let mut expected = resumed_from;
     let grant_batch = (config.credits / 2).max(1) as u64;
@@ -228,33 +210,22 @@ pub fn subscribe_until_finished(
 ) -> Result<SubOutcome, WireError> {
     let mut stitched: Option<SubOutcome> = None;
     let mut attempt_config = config.clone();
-    for attempt in 0..max_attempts.max(1) {
+    // A refused connection (the server mid-restart) retries after a beat.
+    let pause = Duration::from_millis(50);
+    session::reconnect(max_attempts as usize, pause, |attempt| {
         // Only the first attempt simulates the crash.
         if attempt > 0 {
             attempt_config.kill_after = None;
         }
-        let outcome = match subscribe(addr, &attempt_config) {
-            Ok(o) => o,
-            Err(e) => {
-                // Connection refused mid-restart: retry after a beat.
-                if attempt + 1 == max_attempts.max(1) {
-                    return Err(e);
-                }
-                std::thread::sleep(std::time::Duration::from_millis(50));
-                continue;
-            }
-        };
+        let outcome = subscribe(addr, &attempt_config)?;
         attempt_config.resume_from = outcome
             .frames
             .last()
             .map(|(seq, _, _)| seq + 1)
             .unwrap_or(attempt_config.resume_from.max(outcome.resumed_from));
-        let total = match stitched.as_mut() {
-            None => {
-                stitched = Some(outcome);
-                stitched.as_mut().unwrap()
-            }
-            Some(total) => {
+        let total = match stitched.take() {
+            None => outcome,
+            Some(mut total) => {
                 total.attempts += 1;
                 total.received += outcome.received;
                 total.demotions += outcome.demotions;
@@ -265,9 +236,9 @@ pub fn subscribe_until_finished(
                 total
             }
         };
-        if total.finished && total.clean {
-            break;
-        }
-    }
-    Ok(stitched.expect("at least one attempt"))
+        let done = total.finished && total.clean;
+        stitched = Some(total);
+        Ok(done)
+    })?;
+    stitched.ok_or(WireError::Protocol("no subscription attempt connected"))
 }

@@ -1,50 +1,39 @@
-//! The subscriber session server: the ingest wire protocol, mirrored.
+//! The subscriber session server: the subscribe direction of the
+//! [session protocol](lmerge_net::session), where the server streams and
+//! the subscriber grants credits.
 //!
-//! # Session lifecycle
+//! A subscriber sends `Subscribe { protocol, subscriber, filter,
+//! resume_from, credits }`; the server validates the version and filter
+//! class and answers `Welcome`:
 //!
-//! A subscriber connects and sends `Subscribe { protocol, subscriber,
-//! filter, resume_from, credits }`. The server validates the version and
-//! filter class and answers `Welcome`:
-//!
-//! * `resume_seq` — the first output sequence the server will deliver:
-//!   the requested `resume_from`, clamped into the retained window. A
-//!   rejoining subscriber asks for exactly the sequence after the last it
-//!   processed, and because retention is pinned by its durable cursor it
-//!   gets precisely the missing suffix — exactly-once across reconnects,
-//!   the mirror image of the ingest side's `next_seq` discipline.
+//! * `resume_seq` — the first output sequence it will deliver: the
+//!   requested `resume_from`, clamped into the retained window. Retention
+//!   is pinned by each subscriber's durable cursor, so a rejoin asking for
+//!   the sequence after the last it processed gets precisely the missing
+//!   suffix — exactly-once, the mirror of the ingest side's `next_seq`.
 //! * `resume_stable` — the stable point covered by whatever the clamp
-//!   skipped (the catch-up point when a demoted subscriber resumes from
-//!   the compaction horizon rather than its own cursor).
+//!   skipped (the catch-up point of a demoted subscriber).
 //! * `credits` — echo of the client's initial grant.
 //!
-//! # Backpressure and the slow-subscriber policy
-//!
-//! Credits flow the other way here: the *client* grants, the server
-//! spends one per delivered `Data` frame and stalls (counted) when the
-//! grant runs dry. A subscriber that stalls long enough to fall more than
+//! The server spends one credit per `Data` frame and stalls (counted) when
+//! the grant runs dry. A subscriber more than
 //! [`SubPolicy::max_lag_epochs`](crate::SubPolicy) sealed epochs behind
-//! stops pinning retention; when it next reads, the epoch it wanted is
-//! gone and the session is demoted — it jumps to the horizon and is
-//! re-`Welcome`d from there (catch-up-from-stable, the paper's rejoining
-//! replica move applied to an output replica).
-//!
-//! # Trace purity
-//!
-//! Like the ingest server, subscriber lifecycle events land in a private
-//! [`Tracer`] (`sub_session_opened` / `sub_epoch_delivered` /
-//! `sub_session_closed`), never the run's — the merged output must stay
-//! byte-identical to an unobserved run.
+//! stops pinning retention; when the epoch it wants is gone it is demoted:
+//! re-`Welcome`d from the horizon (catch-up-from-stable, the paper's
+//! rejoining-replica move applied to an output replica). At end of output
+//! the server initiates the `Bye` close; a subscriber may initiate it to
+//! unsubscribe. Lifecycle events land in a private [`Tracer`], never the
+//! run's, which must stay byte-identical to an unobserved run.
 
 use crate::buffer::{EpochBuffer, EpochSegment, EpochWait, SubFilter};
+use lmerge_net::session::{self, Acceptor, PeerState, Registry, SessionCounters, Window};
 use lmerge_net::wire::{self, Frame, PROTOCOL_VERSION};
-use lmerge_net::WireError;
 use lmerge_obs::{Counter, Gauge, MetricsRegistry, TraceEvent, TraceSink, Tracer};
 use lmerge_temporal::VTime;
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::{self, JoinHandle};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Subscriber-plane configuration: the filter classes sessions may pick
@@ -80,12 +69,10 @@ impl Default for SubConfig {
 /// Per-session series (`subscriber` label) are minted lazily at each
 /// handshake from the stored registry handle.
 pub struct SubMetrics {
-    sessions_opened: Counter,
+    sessions: SessionCounters,
     sessions_active: Gauge,
     resumes: Counter,
     demotions: Counter,
-    clean_closes: Counter,
-    lost_closes: Counter,
     credit_stalls: Counter,
     epochs_retained: Gauge,
     next_seq: Gauge,
@@ -94,51 +81,33 @@ pub struct SubMetrics {
 impl SubMetrics {
     fn new(registry: &MetricsRegistry) -> SubMetrics {
         let l: [(&str, &str); 0] = [];
+        let counter = |name, help| registry.counter(name, help, &l);
+        let gauge = |name, help| registry.gauge(name, help, &l);
         SubMetrics {
-            sessions_opened: registry.counter(
-                "lmerge_sub_sessions_opened_total",
-                "Subscriber sessions accepted (handshake completed).",
-                &l,
-            ),
-            sessions_active: registry.gauge(
+            sessions: SessionCounters::register(registry, "lmerge_sub", &l),
+            sessions_active: gauge(
                 "lmerge_sub_sessions_active",
                 "Subscriber sessions currently open.",
-                &l,
             ),
-            resumes: registry.counter(
+            resumes: counter(
                 "lmerge_sub_resumes_total",
                 "Sessions welcomed with resume_from > 0 (reconnects).",
-                &l,
             ),
-            demotions: registry.counter(
+            demotions: counter(
                 "lmerge_sub_demotions_total",
                 "Slow-subscriber demotions: sessions jumped to the compaction horizon.",
-                &l,
             ),
-            clean_closes: registry.counter(
-                "lmerge_sub_session_closes_clean_total",
-                "Subscriber sessions that ended with the Bye handshake.",
-                &l,
-            ),
-            lost_closes: registry.counter(
-                "lmerge_sub_session_closes_lost_total",
-                "Subscriber sessions that ended uncleanly (EOF, i/o error).",
-                &l,
-            ),
-            credit_stalls: registry.counter(
+            credit_stalls: counter(
                 "lmerge_sub_credit_stalls_total",
                 "Delivery stalls waiting for a subscriber's credit grant.",
-                &l,
             ),
-            epochs_retained: registry.gauge(
+            epochs_retained: gauge(
                 "lmerge_sub_epochs_retained",
                 "Broadcast-buffer epochs currently retained for fan-out.",
-                &l,
             ),
-            next_seq: registry.gauge(
+            next_seq: gauge(
                 "lmerge_sub_next_seq",
                 "Next output sequence the broadcast buffer will assign.",
-                &l,
             ),
         }
     }
@@ -155,16 +124,15 @@ impl SessionMetrics {
     fn new(registry: &MetricsRegistry, subscriber: u64) -> SessionMetrics {
         let id = subscriber.to_string();
         let l: [(&str, &str); 1] = [("subscriber", id.as_str())];
+        let counter = |name, help| registry.counter(name, help, &l);
         SessionMetrics {
-            frames: registry.counter(
+            frames: counter(
                 "lmerge_sub_frames_total",
                 "Data frames delivered, per subscriber.",
-                &l,
             ),
-            bytes: registry.counter(
+            bytes: counter(
                 "lmerge_sub_bytes_total",
                 "Wire bytes delivered, per subscriber.",
-                &l,
             ),
             lag_epochs: registry.gauge(
                 "lmerge_sub_lag_epochs",
@@ -179,6 +147,7 @@ impl SessionMetrics {
 struct SubShared {
     buf: Arc<EpochBuffer>,
     filters: Vec<SubFilter>,
+    sessions: Registry,
     shutdown: AtomicBool,
     tracer: Mutex<Tracer>,
     metrics: SubMetrics,
@@ -191,33 +160,10 @@ impl SubShared {
     }
 }
 
-/// Credit/close state shared between a session's writer and its reader
-/// thread (the reader drains `Credit`/`Ack`/`Bye` from the subscriber).
-struct SessionState {
-    credits: Mutex<u64>,
-    granted: Condvar,
-    /// The subscriber sent `Bye` (unsubscribe, or echo of ours).
-    bye: AtomicBool,
-    /// The connection died (EOF, gap, corruption, i/o error).
-    dead: AtomicBool,
-    /// When the reader last heard *any* frame from the subscriber — the
-    /// liveness signal the close handshake waits on. A wide fan-out can
-    /// park the whole stream in socket buffers, so "no echo yet" says
-    /// nothing; "no frame for a long quiet period" does.
-    last_heard: Mutex<std::time::Instant>,
-}
-
-impl SessionState {
-    fn wake(&self) {
-        self.granted.notify_all();
-    }
-}
-
 /// A TCP server fanning the shared [`EpochBuffer`] out to subscribers.
 pub struct SubServer {
-    local_addr: SocketAddr,
     shared: Arc<SubShared>,
-    accept: Option<JoinHandle<()>>,
+    accept: Acceptor,
 }
 
 impl SubServer {
@@ -239,33 +185,23 @@ impl SubServer {
     ) -> io::Result<SubServer> {
         assert!(!config.filters.is_empty(), "at least one filter class");
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
         let shared = Arc::new(SubShared {
             buf,
             filters: config.filters,
+            sessions: Registry::default(),
             shutdown: AtomicBool::new(false),
             tracer: Mutex::new(Tracer::new()),
             metrics: SubMetrics::new(registry),
             registry: registry.clone(),
         });
-        let accept_shared = Arc::clone(&shared);
-        let accept = thread::spawn(move || accept_loop(listener, accept_shared));
-        Ok(SubServer {
-            local_addr,
-            shared,
-            accept: Some(accept),
-        })
+        let handler_shared = Arc::clone(&shared);
+        let accept = Acceptor::spawn(listener, move |s| session(Arc::clone(&handler_shared), s))?;
+        Ok(SubServer { shared, accept })
     }
 
     /// The bound address (point `lmerge-subscribe` here).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// The shared broadcast buffer this server fans out.
-    pub fn buffer(&self) -> &Arc<EpochBuffer> {
-        &self.shared.buf
+        self.accept.local_addr()
     }
 
     /// The server's private session tracer (subscriber lane events).
@@ -278,28 +214,16 @@ impl SubServer {
     /// publishing `finish()` and [`shutdown`](SubServer::shutdown) so
     /// paced subscribers' final `Bye` round trips are not severed.
     pub fn await_sessions_closed(&self, timeout: Duration) -> bool {
-        let m = &self.shared.metrics;
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            if m.clean_closes.get() + m.lost_closes.get() >= m.sessions_opened.get() {
-                return true;
-            }
-            if std::time::Instant::now() >= deadline {
-                return false;
-            }
-            thread::sleep(Duration::from_micros(200));
-        }
+        self.shared.sessions.await_closed(timeout)
     }
 
-    /// Stop accepting, wake blocked sessions, and join the accept loop.
-    /// Live sessions notice the flag at their next delivery wait.
+    /// Stop accepting, sever live sessions, and join the accept loop.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
+        self.shared.sessions.sever_all();
         // Unstick writers blocked on an epoch wait.
         self.shared.buf.finish();
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+        self.accept.stop();
     }
 }
 
@@ -309,52 +233,27 @@ impl Drop for SubServer {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<SubShared>) {
-    loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let session_shared = Arc::clone(&shared);
-                thread::spawn(move || session(session_shared, stream));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_micros(500));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(1)),
-        }
-    }
-}
-
 /// How long a writer waits per epoch poll before re-checking liveness.
 const EPOCH_POLL: Duration = Duration::from_millis(50);
-
-/// How long the close handshake waits for the subscriber's `Bye` echo
-/// after last hearing *anything* from it before presuming it dead. A
-/// subscriber that vanishes outright is caught much sooner (its socket
-/// EOFs); this only bounds the silent-hang case, so generous is safe.
-const BYE_IDLE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Serve one subscriber: handshake, then stream epochs under credits.
 fn session(shared: Arc<SubShared>, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
-    let (subscriber, class, resume_from, initial_credits) = match wire::read_frame(&mut stream) {
-        Ok(Some(Frame::Subscribe {
-            protocol,
-            subscriber,
-            filter,
-            resume_from,
-            credits,
-        })) if protocol == PROTOCOL_VERSION => (subscriber, filter, resume_from, credits),
-        // Wrong version, wrong frame, garbage, or EOF: drop the
-        // connection; there is no session to resume.
-        _ => return,
-    };
-    if class as usize >= shared.filters.len() {
+    // Wrong version, wrong frame, garbage, or EOF: drop the connection;
+    // there is no session to resume.
+    let Ok(Some(Frame::Subscribe {
+        protocol: PROTOCOL_VERSION,
+        subscriber,
+        filter: class,
+        resume_from,
+        credits: initial_credits,
+    })) = wire::read_frame(&mut stream)
+    else {
         return;
-    }
-    let filter = shared.filters[class as usize].clone();
+    };
+    let Some(filter) = shared.filters.get(class as usize).cloned() else {
+        return;
+    };
 
     // Clamp the requested cursor into what exists: up to the compaction
     // horizon (a demoted/stale cursor resumes from stable), down to the
@@ -377,8 +276,18 @@ fn session(shared: Arc<SubShared>, mut stream: TcpStream) {
     // older clamped cursor cannot move it backwards).
     shared.buf.ack(subscriber, resume_seq);
 
+    // The peer reader drains Credit/Ack/Bye while the writer streams; an
+    // ack advances the subscriber's durable cursor (pins retention,
+    // persists via checkpoints).
+    let window = Window::new(initial_credits as u64);
+    let buf = Arc::clone(&shared.buf);
+    let Ok(reader) = session::spawn_peer_reader(&stream, &window, move |seq, _| {
+        buf.ack(subscriber, seq.saturating_add(1))
+    }) else {
+        return;
+    };
     let m = &shared.metrics;
-    m.sessions_opened.inc();
+    let id = shared.sessions.open(&stream, &m.sessions);
     m.sessions_active.add(1);
     if resume_from > 0 {
         m.resumes.inc();
@@ -393,24 +302,10 @@ fn session(shared: Arc<SubShared>, mut stream: TcpStream) {
         resume_seq,
     });
 
-    // Reader thread: drains Credit/Ack/Bye while the writer streams.
-    let state = Arc::new(SessionState {
-        credits: Mutex::new(initial_credits as u64),
-        granted: Condvar::new(),
-        bye: AtomicBool::new(false),
-        dead: AtomicBool::new(false),
-        last_heard: Mutex::new(std::time::Instant::now()),
-    });
-    let reader = stream.try_clone().ok().map(|read_half| {
-        let state = Arc::clone(&state);
-        let shared = Arc::clone(&shared);
-        thread::spawn(move || reader_loop(read_half, state, shared, subscriber))
-    });
-
     let clean = writer_loop(
         &shared,
         &mut stream,
-        &state,
+        &window,
         &session_m,
         subscriber,
         class,
@@ -420,59 +315,14 @@ fn session(shared: Arc<SubShared>, mut stream: TcpStream) {
 
     // Unblock and collect the reader before reporting the close.
     let _ = stream.shutdown(Shutdown::Both);
-    state.wake();
-    if let Some(h) = reader {
-        let _ = h.join();
-    }
+    let _ = reader.join();
     shared.trace(TraceEvent::SubSessionClosed {
         at: VTime(resume_seq),
         subscriber,
         clean,
     });
     m.sessions_active.add(-1);
-    if clean {
-        m.clean_closes.inc();
-    } else {
-        m.lost_closes.inc();
-    }
-}
-
-/// Drain subscriber-to-server frames: credit grants, cursor acks, Bye.
-fn reader_loop(
-    mut stream: TcpStream,
-    state: Arc<SessionState>,
-    shared: Arc<SubShared>,
-    subscriber: u64,
-) {
-    loop {
-        let frame = wire::read_frame(&mut stream);
-        if matches!(frame, Ok(Some(_))) {
-            *state.last_heard.lock().unwrap() = std::time::Instant::now();
-        }
-        match frame {
-            Ok(Some(Frame::Credit { n })) => {
-                *state.credits.lock().unwrap() += n as u64;
-                state.wake();
-            }
-            Ok(Some(Frame::Ack { seq, .. })) => {
-                // The subscriber durably consumed through `seq`: advance
-                // its cursor (pins retention, persists via checkpoints).
-                shared.buf.ack(subscriber, seq.saturating_add(1));
-            }
-            Ok(Some(Frame::Bye)) => {
-                state.bye.store(true, Ordering::Release);
-                state.wake();
-                return;
-            }
-            // EOF, a frame that makes no sense here, corruption, i/o
-            // error: the session is over; never panic.
-            Ok(None) | Ok(Some(_)) | Err(_) => {
-                state.dead.store(true, Ordering::Release);
-                state.wake();
-                return;
-            }
-        }
-    }
+    shared.sessions.close(id, clean, &m.sessions);
 }
 
 /// Stream epochs to one subscriber. Returns whether the close was clean.
@@ -480,7 +330,7 @@ fn reader_loop(
 fn writer_loop(
     shared: &Arc<SubShared>,
     stream: &mut TcpStream,
-    state: &SessionState,
+    window: &Window,
     session_m: &SessionMetrics,
     subscriber: u64,
     class: u32,
@@ -491,12 +341,11 @@ fn writer_loop(
     let mut seq_cursor = resume_seq;
     let mut index = shared.buf.index_for_seq(resume_seq);
     loop {
-        if state.dead.load(Ordering::Acquire) {
-            return false;
-        }
-        if state.bye.load(Ordering::Acquire) {
-            // Unsolicited unsubscribe: acknowledge and part cleanly.
-            return wire::write_frame(stream, &Frame::Bye).is_ok();
+        match window.state() {
+            PeerState::Gone => return false,
+            // Unsolicited unsubscribe: echo it and part cleanly.
+            PeerState::SaidBye => return wire::write_frame(stream, &Frame::Bye).is_ok(),
+            PeerState::Live => {}
         }
         if shared.shutdown.load(Ordering::Relaxed) {
             return false;
@@ -525,47 +374,8 @@ fn writer_loop(
                 index = resume_index;
                 shared.buf.ack(subscriber, seq_cursor);
             }
-            EpochWait::Finished => {
-                // Stream over: initiate the close handshake and wait for
-                // the subscriber's echo (mirror of the ingest Bye ack).
-                if wire::write_frame(stream, &Frame::Bye).is_err() {
-                    return false;
-                }
-                // The wait is bounded by *idle time*, not time-since-Bye:
-                // under a wide fan-out the whole stream (Bye included)
-                // lands in socket buffers long before a starved-but-live
-                // subscriber drains it, and its periodic acks prove it is
-                // making progress. A fixed post-Bye deadline severs such
-                // sessions mid-drain — and closing with unread acks
-                // queued turns the close into an RST that destroys the
-                // buffered tail. Only a subscriber that goes *quiet* for
-                // the full window is presumed dead.
-                let sent = std::time::Instant::now();
-                while !state.bye.load(Ordering::Acquire) {
-                    if state.dead.load(Ordering::Acquire) || shared.shutdown.load(Ordering::Relaxed)
-                    {
-                        return false;
-                    }
-                    let heard = *state.last_heard.lock().unwrap();
-                    let deadline = heard.max(sent) + BYE_IDLE_TIMEOUT;
-                    let now = std::time::Instant::now();
-                    if now >= deadline {
-                        return false;
-                    }
-                    // Block on the session condvar — the reader notifies
-                    // it on Bye, death, and credit traffic — rather than
-                    // sleep-polling. With a wide fan-out, hundreds of
-                    // finished sessions reach this wait together, and
-                    // even a gentle 2 ms poll multiplied across them
-                    // floods the scheduler with wakeups that starve the
-                    // very clients whose echo this wait is for. The cap
-                    // only bounds how late a server shutdown is noticed.
-                    let wait = (deadline - now).min(Duration::from_millis(100));
-                    let guard = state.credits.lock().unwrap();
-                    let _ = state.granted.wait_timeout(guard, wait).unwrap();
-                }
-                return true;
-            }
+            // Stream over: initiate the close.
+            EpochWait::Finished => return session::close(stream, window),
             EpochWait::Ready(seg) => {
                 // Refresh the gauges only when there is something to
                 // deliver: polling sessions must not hammer the shared
@@ -577,7 +387,7 @@ fn writer_loop(
                     .lag_epochs
                     .set(sealed.saturating_sub(index) as i64);
                 match deliver_epoch(
-                    shared, stream, state, session_m, filter, class, &seg, seq_cursor,
+                    shared, stream, window, session_m, filter, class, &seg, seq_cursor,
                 ) {
                     Some(frames) => {
                         shared.trace(TraceEvent::SubEpochDelivered {
@@ -604,7 +414,7 @@ fn writer_loop(
 fn deliver_epoch(
     shared: &Arc<SubShared>,
     stream: &mut TcpStream,
-    state: &SessionState,
+    window: &Window,
     session_m: &SessionMetrics,
     filter: &SubFilter,
     class: u32,
@@ -631,7 +441,7 @@ fn deliver_epoch(
             if !flush(stream, seg, &mut run, &mut bytes_sent) {
                 return None;
             }
-            taken = take_credits(shared, state)?;
+            taken = window.take(u64::MAX, || shared.metrics.credit_stalls.inc())?;
         }
         taken -= 1;
         delivered += 1;
@@ -653,7 +463,7 @@ fn deliver_epoch(
     }
     // Return unused credits to the pool for the next epoch.
     if taken > 0 {
-        *state.credits.lock().unwrap() += taken;
+        window.grant(taken);
     }
     session_m.frames.add(delivered as u64);
     session_m.bytes.add(bytes_sent);
@@ -676,40 +486,26 @@ fn flush(
     true
 }
 
-/// Block until the subscriber grants credits (or the session ends).
-/// Takes the whole pool. `None` means the session is over.
-fn take_credits(shared: &Arc<SubShared>, state: &SessionState) -> Option<u64> {
-    let mut credits = state.credits.lock().unwrap();
-    if *credits == 0 {
-        shared.metrics.credit_stalls.inc();
-    }
-    loop {
-        if *credits > 0 {
-            return Some(std::mem::take(&mut *credits));
-        }
-        if state.dead.load(Ordering::Acquire)
-            || state.bye.load(Ordering::Acquire)
-            || shared.shutdown.load(Ordering::Relaxed)
-        {
-            return None;
-        }
-        let (guard, _) = state
-            .granted
-            .wait_timeout(credits, Duration::from_millis(10))
-            .unwrap();
-        credits = guard;
-    }
-}
-
-/// Errors a subscriber client/server interaction surfaces to callers.
-pub type SubResult<T> = Result<T, WireError>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::{subscribe, subscribe_until_finished, SubscribeConfig};
     use crate::SubPolicy;
     use lmerge_temporal::{Element, Time, Value};
+    use std::thread;
+
+    /// Block until `n` sessions have been welcomed. A session's `Welcome`
+    /// fixes where it starts, so publishing before every handshake lands
+    /// would let a late joiner be (correctly) clamped to the horizon.
+    fn await_welcomed(server: &SubServer, n: u64) {
+        assert!(
+            server
+                .shared
+                .sessions
+                .wait_until(Duration::from_secs(10), |c| c.opened >= n),
+            "{n} subscriber handshakes within the deadline"
+        );
+    }
 
     fn publish_feed(buf: &EpochBuffer, n: u64) -> Vec<u8> {
         // Reference bytes: the canonical encoding of the full stream.
@@ -746,6 +542,7 @@ mod tests {
         let addr = server.local_addr().to_string();
         let client =
             thread::spawn(move || subscribe(&addr, &SubscribeConfig::new(1)).expect("subscribe"));
+        await_welcomed(&server, 1);
         let reference = publish_feed(&buf, 30);
         buf.finish();
         let outcome = client.join().unwrap();
@@ -768,6 +565,7 @@ mod tests {
         let client = thread::spawn(move || {
             subscribe(&addr, &SubscribeConfig::new(2).with_filter(class)).expect("subscribe")
         });
+        await_welcomed(&server, 1);
         publish_feed(&buf, 20);
         buf.finish();
         let outcome = client.join().unwrap();
@@ -850,6 +648,7 @@ mod tests {
         let client = thread::spawn(move || {
             subscribe(&addr, &SubscribeConfig::new(5).with_credits(2)).expect("subscribe")
         });
+        await_welcomed(&server, 1);
         let reference = publish_feed(&buf, 50);
         buf.finish();
         let outcome = client.join().unwrap();
@@ -884,6 +683,7 @@ mod tests {
                 })
             })
             .collect();
+        await_welcomed(&server, 8);
         let reference = publish_feed(&buf, 25);
         buf.finish();
         for c in clients {
@@ -907,5 +707,69 @@ mod tests {
             .count();
         assert_eq!(opened, 8, "subscriber lanes landed in the tracer");
         drop(tracer);
+    }
+
+    #[test]
+    fn garbage_or_wrong_version_first_frame_never_opens_a_session() {
+        let buf = Arc::new(EpochBuffer::new(SubPolicy::default()));
+        let registry = MetricsRegistry::new();
+        let server = SubServer::bind_with_metrics(
+            "127.0.0.1:0",
+            Arc::clone(&buf),
+            SubConfig::new(),
+            &registry,
+        )
+        .unwrap();
+        let wrong_version = wire::encode(&Frame::Subscribe {
+            protocol: PROTOCOL_VERSION + 1,
+            subscriber: 1,
+            filter: 0,
+            resume_from: 0,
+            credits: 8,
+        });
+        for first in [b"not a frame at all".to_vec(), wrong_version] {
+            let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+            stream.write_all(&first).unwrap();
+            // The server drops the connection instead of welcoming us.
+            assert!(matches!(wire::read_frame(&mut stream), Ok(None) | Err(_)));
+        }
+        assert_eq!(server.shared.sessions.counts().opened, 0);
+        assert_eq!(
+            registry.sum_value("lmerge_sub_sessions_opened_total"),
+            Some(0.0)
+        );
+        assert!(server.await_sessions_closed(Duration::ZERO), "nothing open");
+        // A well-formed subscriber afterwards is the first session.
+        buf.finish();
+        let outcome = subscribe(&server.local_addr().to_string(), &SubscribeConfig::new(3))
+            .expect("subscribe");
+        assert!(outcome.clean && outcome.finished);
+        assert!(server.await_sessions_closed(Duration::from_secs(5)));
+        assert_eq!(server.shared.sessions.counts().opened, 1);
+    }
+
+    #[test]
+    fn await_sessions_closed_times_out_on_a_hung_session() {
+        let buf = Arc::new(EpochBuffer::new(SubPolicy::default()));
+        let server = SubServer::bind("127.0.0.1:0", buf, SubConfig::new()).unwrap();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        wire::write_frame(
+            &mut stream,
+            &Frame::Subscribe {
+                protocol: PROTOCOL_VERSION,
+                subscriber: 1,
+                filter: 0,
+                resume_from: 0,
+                credits: 8,
+            },
+        )
+        .unwrap();
+        assert!(matches!(
+            wire::read_frame(&mut stream),
+            Ok(Some(Frame::Welcome { .. }))
+        ));
+        // Session opened, stream never finished: the wait must give up.
+        await_welcomed(&server, 1);
+        assert!(!server.await_sessions_closed(Duration::from_millis(50)));
     }
 }
