@@ -2,9 +2,9 @@
 //!
 //! These complement the figure harness (which measures end-to-end shapes)
 //! with per-element numbers: insert cost per LMerge variant, adjust-heavy
-//! revision cost, stable-processing cost, the hot stable-sweep path over a
-//! large live window, the O(1) batched discard of lagging inputs, and
-//! reconstitution overhead. A plain timing harness (best-of-N over a few
+//! revision cost, stable-processing cost, the per-stable cost of the
+//! incremental sweep at fixed churn over growing half-frozen sets, the O(1)
+//! batched discard of lagging inputs, and reconstitution overhead. A plain timing harness (best-of-N over a few
 //! repeats) keeps the workspace free of external benchmark frameworks; run
 //! with `cargo bench -p lmerge-bench`.
 //!
@@ -43,9 +43,16 @@ fn repeats() -> usize {
     }
 }
 
-/// Record one case: progressive line, table row, and JSON metric.
+/// Record one per-element case: progressive line, table row, and JSON
+/// metric.
 fn record(report: &mut Report, label: &str, ns: f64) {
-    println!("{label:<44} {ns:>9.1} ns/element");
+    record_unit(report, label, ns, "ns/element");
+}
+
+/// Record one case whose cost is `ns` per `unit` (the JSON throughput is
+/// units per second).
+fn record_unit(report: &mut Report, label: &str, ns: f64, unit: &str) {
+    println!("{label:<44} {ns:>9.1} {unit}");
     report.row(&[label.to_string(), format!("{ns:.1}")]);
     report.metric(
         label,
@@ -147,96 +154,50 @@ fn bench_stable_processing(report: &mut Report) {
     }
 }
 
-fn bench_stable_sweep(report: &mut Report) {
-    // The hot sweep path: high StableFreq over a large live window. Every
-    // stable visits ~`nodes` kept nodes (their Ve lies far in the future),
-    // so the per-node sweep cost dominates. Pre-refactor, this path cloned
-    // every live payload per stable and re-looked each key up; reported
-    // cost is ns per swept node.
-    let nodes = sized(10_000, 1_000);
-    let stables = sized(200, 20);
-    println!("\n== stable_sweep_{nodes}_live_nodes ==");
+fn bench_stable_churn(report: &mut Report) {
+    // The incremental stable sweep: a fixed churn per stable (`churn`
+    // short-lived nodes become half frozen and, one stable later, retire)
+    // over a half-frozen set of `live` long-lived nodes that no stable can
+    // change. The cost per stable must follow the churn, not the set size;
+    // a full walk of the half-frozen region grows linearly with `live`.
+    let churn = 64i64;
+    let stables = sized(2_000, 200) as i64;
+    println!("\n== stable_churn{churn} (ns per stable) ==");
     for v in [VariantKind::R3Plus, VariantKind::R4] {
-        let mut best = f64::INFINITY;
-        for _ in 0..repeats() {
-            let mut lm = v.build(1);
-            let mut out = Vec::new();
-            // Live window: every node's end time is far beyond the stables.
-            for i in 0..nodes as i64 {
-                lm.push(
-                    StreamId(0),
-                    &Element::insert(Value::bare(i as i32), i, i + 100_000_000),
-                    &mut out,
-                );
-                out.clear();
+        for live in [1_000, 10_000, sized(100_000, 10_000)] {
+            let live = live as i64;
+            let mut best = f64::INFINITY;
+            for _ in 0..repeats() {
+                let mut lm = v.build(1);
+                let mut out = Vec::new();
+                for i in 0..live {
+                    let e = Element::insert(Value::bare(i as i32), i, i + 1_000_000_000);
+                    lm.push(StreamId(0), &e, &mut out);
+                }
+                lm.push(StreamId(0), &Element::stable(live), &mut out);
+                // Round 0 is set-up, not timed: its stable walks the live
+                // set once more before indexing it (the young range).
+                let mut ns = 0u128;
+                for k in 0..=stables {
+                    let base = live + k * churn;
+                    for vs in base..base + churn {
+                        let e = Element::insert(Value::bare(vs as i32), vs, vs + churn);
+                        lm.push(StreamId(0), &e, &mut out);
+                    }
+                    out.clear();
+                    let start = Instant::now();
+                    lm.push(StreamId(0), &Element::stable(base + churn), &mut out);
+                    if k > 0 {
+                        ns += start.elapsed().as_nanos();
+                    }
+                    out.clear();
+                }
+                best = best.min(ns as f64 / stables as f64);
             }
-            let start = Instant::now();
-            for k in 0..stables as i64 {
-                lm.push(
-                    StreamId(0),
-                    &Element::stable(nodes as i64 + 1 + k),
-                    &mut out,
-                );
-                out.clear();
-            }
-            let ns = start.elapsed().as_nanos() as f64 / (stables * nodes) as f64;
-            best = best.min(ns);
+            let label = format!("stable_churn{churn}/{}/live={live}", v.label());
+            record_unit(report, &label, best, "ns/stable");
         }
-        record(report, &format!("stable_sweep/{}", v.label()), best);
     }
-}
-
-fn bench_sweep_vs_clone(report: &mut Report) {
-    // Index-level head-to-head: the in-place sweep against the legacy
-    // access pattern it replaced (clone every half-frozen key out, then
-    // re-look each node up). Same index, same visit set; reported cost is
-    // ns per visited node.
-    use lmerge_core::in2t::In2t;
-    use lmerge_core::SweepAction;
-    use lmerge_temporal::Time;
-    let nodes = sized(10_000, 1_000);
-    let rounds = sized(100, 10);
-    let t = Time(nodes as i64 + 1);
-    let build = || {
-        let mut ix: In2t<Value> = In2t::new();
-        for i in 0..nodes as i64 {
-            let node = ix.add_node(Time(i), Value::synthetic(i as i32, 100));
-            node.set_input(StreamId(0), Time(i + 100_000_000));
-            ix.note_entry_added();
-        }
-        ix
-    };
-    println!("\n== in2t_half_frozen_visit ({nodes} nodes) ==");
-    let mut best_sweep = f64::INFINITY;
-    let mut best_clone = f64::INFINITY;
-    for _ in 0..repeats() {
-        let mut ix = build();
-        let start = Instant::now();
-        for _ in 0..rounds {
-            ix.sweep_half_frozen(t, |_, _, node| {
-                black_box(node);
-                SweepAction::Keep
-            });
-        }
-        let ns = start.elapsed().as_nanos() as f64 / (rounds * nodes) as f64;
-        best_sweep = best_sweep.min(ns);
-
-        let start = Instant::now();
-        for _ in 0..rounds {
-            for (vs, p) in ix.half_frozen_keys(t) {
-                black_box(ix.get_mut(vs, &p).expect("node live"));
-            }
-        }
-        let ns = start.elapsed().as_nanos() as f64 / (rounds * nodes) as f64;
-        best_clone = best_clone.min(ns);
-    }
-    record(report, "sweep_api/in_place", best_sweep);
-    record(report, "sweep_api/clone_relookup", best_clone);
-    println!(
-        "{:<44} {:>9.2}x",
-        "sweep_api speedup",
-        best_clone / best_sweep
-    );
 }
 
 fn bench_batch_discard(report: &mut Report) {
@@ -299,14 +260,13 @@ fn bench_reconstitution(report: &mut Report) {
 fn main() {
     let mut report = Report::new(
         "micro",
-        "Per-element operator costs (best-of-N, ns/element)",
-        &["case", "ns/element"],
+        "Per-element operator costs (best-of-N; ns/element unless the case says per stable)",
+        &["case", "ns"],
     );
     bench_inserts(&mut report);
     bench_adjust_heavy(&mut report);
     bench_stable_processing(&mut report);
-    bench_stable_sweep(&mut report);
-    bench_sweep_vs_clone(&mut report);
+    bench_stable_churn(&mut report);
     bench_batch_discard(&mut report);
     bench_reconstitution(&mut report);
     println!();

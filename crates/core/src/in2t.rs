@@ -14,21 +14,15 @@
 //! would have, and a hash table's slot layout is a function of its full
 //! insertion/deletion history, which a rebuild cannot reproduce. Keying by
 //! payload `Ord` makes iteration a pure function of the index's contents.
+//!
+//! Every change to a node goes through the index ([`In2t::insert`],
+//! [`In2t::update`], [`In2t::sweep`]) so that the wake index over the
+//! half-frozen region ([`crate::wake`]) stays exact.
 
 use crate::mem::btree_bytes;
+use crate::wake::{SweepAction, WakeIndex, WakeNode};
 use lmerge_temporal::{Payload, StreamId, Time};
 use std::collections::BTreeMap;
-
-/// Verdict returned by a sweep visitor for each visited node: keep it in
-/// the index, or retire (remove) it as settled. Shared by [`In2t`] and
-/// [`crate::in3t::In3t`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SweepAction {
-    /// The node stays live (it still has unfrozen end times).
-    Keep,
-    /// The node is fully settled; remove it during the walk.
-    Retire,
-}
 
 /// Per-key node: one shared event, per-stream current end times.
 ///
@@ -46,13 +40,6 @@ pub struct Node {
 }
 
 impl Node {
-    fn new() -> Node {
-        Node {
-            per_input: Vec::new(),
-            output_ve: None,
-        }
-    }
-
     /// Record `ve` for input `s`. Returns true when `s` is new to the node.
     pub fn set_input(&mut self, s: StreamId, ve: Time) -> bool {
         for entry in &mut self.per_input {
@@ -79,7 +66,7 @@ impl Node {
     }
 
     /// Drop input `s`'s entry. Returns true if one existed.
-    pub fn remove_input(&mut self, s: StreamId) -> bool {
+    fn remove_input(&mut self, s: StreamId) -> bool {
         if let Some(pos) = self.per_input.iter().position(|(id, _)| *id == s.0) {
             self.per_input.swap_remove(pos);
             true
@@ -102,6 +89,17 @@ impl Node {
     }
 }
 
+impl WakeNode for Node {
+    fn wake(&self) -> Time {
+        let inputs = self.per_input.iter().map(|e| e.1);
+        inputs.chain(self.output_ve).min().unwrap_or(Time::INFINITY)
+    }
+
+    fn for_each_input(&self, mut f: impl FnMut(u32)) {
+        self.per_input.iter().for_each(|e| f(e.0));
+    }
+}
+
 /// The two-tier index: `Vs → (Payload → Node)`.
 #[derive(Debug)]
 pub struct In2t<P: Payload> {
@@ -111,16 +109,21 @@ pub struct In2t<P: Payload> {
     payload_bytes: usize,
     /// Total per-input hash entries across all nodes.
     entries: usize,
+    /// Which half-frozen tiers a stable can change.
+    wake: WakeIndex,
 }
 
 impl<P: Payload> In2t<P> {
-    /// An empty index.
+    /// An empty index. A restored index starts with an empty wake index
+    /// too: the first two sweeps after a restore walk the whole prefix and
+    /// rebuild it.
     pub fn new() -> In2t<P> {
         In2t {
             tiers: BTreeMap::new(),
             nodes: 0,
             payload_bytes: 0,
             entries: 0,
+            wake: WakeIndex::new(),
         }
     }
 
@@ -139,96 +142,77 @@ impl<P: Payload> In2t<P> {
         self.tiers.get(&vs).and_then(|m| m.get(payload))
     }
 
-    /// Mutable lookup; `added_entry` bookkeeping is the caller's job via
-    /// [`In2t::note_entry_added`].
-    pub fn get_mut(&mut self, vs: Time, payload: &P) -> Option<&mut Node> {
-        self.tiers.get_mut(&vs).and_then(|m| m.get_mut(payload))
+    /// Apply `f` to the node for `(vs, payload)`, if it exists, with full
+    /// bookkeeping of its per-input entries and wake time.
+    #[inline]
+    pub fn update<R>(
+        &mut self,
+        vs: Time,
+        payload: &P,
+        f: impl FnOnce(&mut Node) -> R,
+    ) -> Option<R> {
+        let node = self.tiers.get_mut(&vs)?.get_mut(payload)?;
+        let before = node.per_input.len();
+        let r = self.wake.touch(vs, node, f);
+        self.entries = self.entries + node.per_input.len() - before;
+        Some(r)
     }
 
-    /// Add a node for `(vs, payload)`; returns a mutable reference.
-    /// The caller must not add a node that already exists.
-    pub fn add_node(&mut self, vs: Time, payload: P) -> &mut Node {
+    /// Add a node for `(vs, payload)` with the given per-input end times,
+    /// emitted with `output_ve` (`None`: not yet) — a first arrival or a
+    /// node rebuilt from checkpoint data. The caller must not add a node
+    /// that already exists.
+    pub fn insert(
+        &mut self,
+        vs: Time,
+        payload: P,
+        per_input: &[(u32, Time)],
+        output_ve: Option<Time>,
+    ) {
         self.nodes += 1;
         self.payload_bytes += payload.heap_bytes();
-        self.tiers
+        self.entries += per_input.len();
+        // Built in place: allocating the entry vector before the tree slot
+        // costs the data path ~2x on insert-heavy feeds (heap layout).
+        let node = self
+            .tiers
             .entry(vs)
             .or_default()
             .entry(payload)
-            .or_insert_with(Node::new)
+            .or_insert_with(|| Node {
+                per_input: Vec::new(),
+                output_ve,
+            });
+        node.per_input.extend_from_slice(per_input);
+        self.wake.admit(vs, node);
     }
 
-    /// Record that one per-input hash entry was added somewhere.
-    pub fn note_entry_added(&mut self) {
-        self.entries += 1;
-    }
-
-    /// Remove the node for `(vs, payload)`.
-    pub fn remove(&mut self, vs: Time, payload: &P) {
-        if let Some(m) = self.tiers.get_mut(&vs) {
-            if let Some(node) = m.remove(payload) {
-                self.nodes -= 1;
-                self.payload_bytes -= payload.heap_bytes();
-                self.entries -= node.per_input.len();
-            }
-            if m.is_empty() {
-                self.tiers.remove(&vs);
-            }
-        }
-    }
-
-    /// Iterate `(vs, payload, node)` for all nodes with `Vs < t` (the
-    /// paper's `FindHalfFrozen`), in `Vs` order.
-    pub fn half_frozen(&self, t: Time) -> impl Iterator<Item = (Time, &P, &Node)> + '_ {
-        self.tiers
-            .range(..t)
-            .flat_map(|(vs, m)| m.iter().map(move |(p, n)| (*vs, p, n)))
-    }
-
-    /// Collect the keys of all nodes with `Vs < t` (cloned so the caller can
-    /// mutate the index while walking them).
-    ///
-    /// Prefer [`In2t::sweep_half_frozen`] on hot paths: this form clones
-    /// every payload below `t` and forces the caller into a second lookup
-    /// per key. It is retained for tests and diagnostic tooling.
-    pub fn half_frozen_keys(&self, t: Time) -> Vec<(Time, P)> {
-        self.tiers
-            .range(..t)
-            .flat_map(|(vs, m)| m.keys().map(move |p| (*vs, p.clone())))
-            .collect()
-    }
-
-    /// Visit every node with `Vs < t` (the paper's `FindHalfFrozen`) exactly
-    /// once, in `Vs` order, with mutable access — the allocation-free
-    /// replacement for [`In2t::half_frozen_keys`] + re-lookup. Nodes for
-    /// which the visitor returns [`SweepAction::Retire`] are unlinked during
-    /// the walk with full bookkeeping; no payload is cloned and no key is
-    /// looked up twice.
-    pub fn sweep_half_frozen<F>(&mut self, t: Time, mut visit: F)
-    where
-        F: FnMut(Time, &P, &mut Node) -> SweepAction,
-    {
+    /// The paper's `FindHalfFrozen` for a `stable(t)` driven by input `s`,
+    /// made incremental by the wake index ([`crate::wake`]): visit every
+    /// node with `Vs < t` that the stable can change — in `(Vs, payload)`
+    /// order among those that act — with mutable access. Nodes for which the
+    /// visitor returns [`SweepAction::Retire`] are unlinked during the walk
+    /// with full bookkeeping. The visitor must leave unchanged a node that
+    /// `s` carries and whose end times are all `≥ t`, and must not change
+    /// which inputs a node carries.
+    pub fn sweep(
+        &mut self,
+        t: Time,
+        s: StreamId,
+        visit: impl FnMut(Time, &P, &mut Node) -> SweepAction,
+    ) {
         let In2t {
             tiers,
             nodes,
             payload_bytes,
             entries,
+            wake,
         } = self;
-        let mut emptied = false;
-        for (vs, tier) in tiers.range_mut(..t) {
-            tier.retain(|payload, node| match visit(*vs, payload, node) {
-                SweepAction::Keep => true,
-                SweepAction::Retire => {
-                    *nodes -= 1;
-                    *payload_bytes -= payload.heap_bytes();
-                    *entries -= node.per_input.len();
-                    false
-                }
-            });
-            emptied |= tier.is_empty();
-        }
-        if emptied {
-            tiers.retain(|_, m| !m.is_empty());
-        }
+        wake.sweep(tiers, t, s, visit, |payload, node| {
+            *nodes -= 1;
+            *payload_bytes -= payload.heap_bytes();
+            *entries -= node.per_input.len();
+        });
     }
 
     /// The smallest live `Vs` in the index, if any — an O(log n) lower
@@ -247,37 +231,23 @@ impl<P: Payload> In2t<P> {
                 }
             }
         }
+        self.wake.forget(s);
     }
 
     /// Iterate every node in canonical `(Vs, payload)` order — the
-    /// checkpoint export walk. Unlike [`In2t::half_frozen`] this includes
-    /// nodes at `Vs = ∞`.
+    /// checkpoint export walk, including nodes at `Vs = ∞`.
     pub fn iter_all(&self) -> impl Iterator<Item = (Time, &P, &Node)> + '_ {
         self.tiers
             .iter()
             .flat_map(|(vs, m)| m.iter().map(move |(p, n)| (*vs, p, n)))
     }
 
-    /// Rebuild one node from checkpoint data, with full `nodes` /
-    /// `payload_bytes` / `entries` bookkeeping. The caller must not restore
-    /// a key that already exists.
-    pub fn restore_node(
-        &mut self,
-        vs: Time,
-        payload: P,
-        per_input: &[(u32, Time)],
-        output_ve: Option<Time>,
-    ) {
-        self.entries += per_input.len();
-        let node = self.add_node(vs, payload);
-        node.per_input = per_input.to_vec();
-        node.output_ve = output_ve;
-    }
-
     /// Estimated memory: tree structure, the per-`Vs` payload tiers
     /// (modelled by [`btree_bytes`] so the figure is a pure function of the
     /// contents — a restored index reports the same bytes as its source),
-    /// shared payloads, and per-input entries.
+    /// shared payloads, per-input entries, and the wake index (derived
+    /// state: its stale entries depend on history, so after a restore it
+    /// may report less until the next sweeps re-key it).
     pub fn memory_bytes(&self) -> usize {
         const TIER_OVERHEAD: usize = 48; // BTree node amortized per key
         const ENTRY_BYTES: usize = std::mem::size_of::<(u32, Time)>() + 16;
@@ -286,7 +256,11 @@ impl<P: Payload> In2t<P> {
             .values()
             .map(|m| btree_bytes(m.len(), std::mem::size_of::<(P, Node)>()))
             .sum();
-        self.tiers.len() * TIER_OVERHEAD + tables + self.payload_bytes + self.entries * ENTRY_BYTES
+        self.tiers.len() * TIER_OVERHEAD
+            + tables
+            + self.payload_bytes
+            + self.entries * ENTRY_BYTES
+            + self.wake.memory_bytes()
     }
 }
 
@@ -300,74 +274,70 @@ impl<P: Payload> Default for In2t<P> {
 mod tests {
     use super::*;
 
+    const ENTRY: usize = std::mem::size_of::<(u32, Time)>() + 16;
+
+    /// Sweep at `t` driven by `s` with R3's retirement rule (the driver's
+    /// end, or `Vs` when it lacks the node, falls below `t`); returns the
+    /// visited keys.
+    fn sweep(ix: &mut In2t<&'static str>, t: i64, s: u32) -> Vec<(i64, &'static str)> {
+        let mut seen = Vec::new();
+        ix.sweep(Time(t), StreamId(s), |vs, p, node| {
+            seen.push((vs.0, *p));
+            if node.input_ve(StreamId(s)).unwrap_or(vs) < Time(t) {
+                SweepAction::Retire
+            } else {
+                SweepAction::Keep
+            }
+        });
+        seen
+    }
+
     #[test]
-    fn add_get_remove() {
+    fn insert_get_update() {
         let mut ix: In2t<&str> = In2t::new();
-        ix.add_node(Time(5), "A").set_input(StreamId(0), Time(9));
-        ix.note_entry_added();
+        ix.insert(Time(5), "A", &[(0, Time(9))], None);
         assert_eq!(ix.len(), 1);
         assert_eq!(
             ix.get(Time(5), &"A").unwrap().input_ve(StreamId(0)),
             Some(Time(9))
         );
         assert!(ix.get(Time(5), &"B").is_none());
-        ix.remove(Time(5), &"A");
-        assert!(ix.is_empty());
-    }
-
-    #[test]
-    fn half_frozen_scans_by_vs() {
-        let mut ix: In2t<&str> = In2t::new();
-        ix.add_node(Time(1), "A");
-        ix.add_node(Time(5), "B");
-        ix.add_node(Time(9), "C");
-        let hf: Vec<_> = ix.half_frozen(Time(6)).map(|(vs, p, _)| (vs, *p)).collect();
-        assert_eq!(hf, vec![(Time(1), "A"), (Time(5), "B")]);
-        assert_eq!(ix.half_frozen_keys(Time(1)).len(), 0);
+        assert_eq!(ix.update(Time(5), &"B", |_| ()), None);
+        let was_new = ix.update(Time(5), &"A", |n| n.set_input(StreamId(1), Time(9)));
+        assert_eq!(was_new, Some(true));
+        assert_eq!(ix.entries, 2, "update counts the new per-input entry");
     }
 
     #[test]
     fn support_counts_distinct_inputs() {
         let mut ix: In2t<&str> = In2t::new();
-        let n = ix.add_node(Time(1), "A");
-        n.set_input(StreamId(0), Time(5));
-        n.set_input(StreamId(0), Time(7)); // same input again
-        n.set_input(StreamId(1), Time(5));
+        ix.insert(Time(1), "A", &[(0, Time(5))], None);
+        ix.update(Time(1), &"A", |n| {
+            n.set_input(StreamId(0), Time(7)); // same input again
+            n.set_input(StreamId(1), Time(5));
+        });
         assert_eq!(ix.get(Time(1), &"A").unwrap().support(), 2);
     }
 
     #[test]
     fn purge_stream_removes_entries() {
         let mut ix: In2t<&str> = In2t::new();
-        let n = ix.add_node(Time(1), "A");
-        n.set_input(StreamId(0), Time(5));
-        n.set_input(StreamId(1), Time(6));
-        ix.note_entry_added();
-        ix.note_entry_added();
+        ix.insert(Time(1), "A", &[(0, Time(5))], None);
+        ix.update(Time(1), &"A", |n| n.set_input(StreamId(1), Time(6)));
         ix.purge_stream(StreamId(0));
         let node = ix.get(Time(1), &"A").unwrap();
         assert!(!node.has_input(StreamId(0)));
         assert!(node.has_input(StreamId(1)));
+        assert_eq!(ix.entries, 1);
     }
 
     #[test]
     fn sweep_visits_in_vs_order_and_retires_in_place() {
         let mut ix: In2t<&str> = In2t::new();
-        ix.add_node(Time(1), "A").set_input(StreamId(0), Time(3));
-        ix.note_entry_added();
-        ix.add_node(Time(5), "B").set_input(StreamId(0), Time(90));
-        ix.note_entry_added();
-        ix.add_node(Time(9), "C");
-        let mut seen = Vec::new();
-        ix.sweep_half_frozen(Time(6), |vs, p, node| {
-            seen.push((vs, *p));
-            if node.input_ve(StreamId(0)).unwrap_or(vs) < Time(6) {
-                SweepAction::Retire
-            } else {
-                SweepAction::Keep
-            }
-        });
-        assert_eq!(seen, vec![(Time(1), "A"), (Time(5), "B")]);
+        ix.insert(Time(1), "A", &[(0, Time(3))], None);
+        ix.insert(Time(5), "B", &[(0, Time(90))], None);
+        ix.insert(Time(9), "C", &[(0, Time(90))], None);
+        assert_eq!(sweep(&mut ix, 6, 0), [(1, "A"), (5, "B")]);
         assert!(ix.get(Time(1), &"A").is_none(), "A retired");
         assert!(ix.get(Time(5), &"B").is_some(), "B kept");
         assert_eq!(ix.len(), 2);
@@ -375,11 +345,44 @@ mod tests {
     }
 
     #[test]
+    fn sweep_skips_half_frozen_nodes_it_cannot_change() {
+        let mut ix: In2t<&str> = In2t::new();
+        ix.insert(Time(1), "A", &[(0, Time(50))], Some(Time(50)));
+        ix.insert(Time(2), "B", &[(0, Time(15))], Some(Time(15)));
+        ix.insert(Time(12), "C", &[(0, Time(70))], Some(Time(70)));
+        assert_eq!(sweep(&mut ix, 10, 0), [(1, "A"), (2, "B")]);
+        // The young tiers are walked once more (B's end, 15, falls below
+        // 20); C becomes half frozen.
+        assert_eq!(sweep(&mut ix, 20, 0), [(1, "A"), (2, "B"), (12, "C")]);
+        assert_eq!(sweep(&mut ix, 40, 0), [(12, "C")]);
+        assert_eq!(sweep(&mut ix, 45, 0), [], "A sleeps until 50, C until 70");
+        // A data-path change that lowers a half-frozen end wakes the node.
+        ix.update(Time(12), &"C", |n| n.set_input(StreamId(0), Time(46)));
+        assert_eq!(sweep(&mut ix, 48, 0), [(12, "C")]);
+        assert_eq!(ix.len(), 1);
+    }
+
+    #[test]
+    fn sweep_walks_everything_when_the_driver_lacks_a_half_frozen_node() {
+        let mut ix: In2t<&str> = In2t::new();
+        ix.insert(Time(1), "A", &[(0, Time(50))], Some(Time(50)));
+        ix.update(Time(1), &"A", |n| n.set_input(StreamId(1), Time(50)));
+        ix.insert(Time(2), "B", &[(0, Time(60))], Some(Time(60)));
+        sweep(&mut ix, 10, 0);
+        // Input 1 never brought B: its stable retires B though no end
+        // time is below 20.
+        assert_eq!(sweep(&mut ix, 20, 1), [(1, "A"), (2, "B")]);
+        assert!(ix.get(Time(2), &"B").is_none());
+        // A detach purges input 1 from A, so 0 drives alone again.
+        ix.purge_stream(StreamId(1));
+        assert_eq!(sweep(&mut ix, 30, 0), []);
+    }
+
+    #[test]
     fn sweep_can_mutate_kept_nodes() {
         let mut ix: In2t<&str> = In2t::new();
-        ix.add_node(Time(1), "A").set_input(StreamId(0), Time(50));
-        ix.note_entry_added();
-        ix.sweep_half_frozen(Time(10), |_, _, node| {
+        ix.insert(Time(1), "A", &[(0, Time(50))], None);
+        ix.sweep(Time(10), StreamId(0), |_, _, node| {
             node.output_ve = Some(Time(50));
             SweepAction::Keep
         });
@@ -390,43 +393,54 @@ mod tests {
     fn min_live_vs_tracks_smallest_tier() {
         let mut ix: In2t<&str> = In2t::new();
         assert_eq!(ix.min_live_vs(), None);
-        ix.add_node(Time(7), "A");
-        ix.add_node(Time(3), "B");
+        ix.insert(Time(7), "A", &[(0, Time(20))], None);
+        ix.insert(Time(3), "B", &[(0, Time(5))], None);
         assert_eq!(ix.min_live_vs(), Some(Time(3)));
-        ix.remove(Time(3), &"B");
+        sweep(&mut ix, 6, 0);
         assert_eq!(ix.min_live_vs(), Some(Time(7)));
     }
 
     #[test]
     fn memory_accounts_for_tier_trees() {
-        use crate::mem::btree_bytes;
-        // Known shape: 10 nodes in one tier, no per-input entries, static
-        // payloads (zero heap bytes) — the estimate is pinned exactly.
+        // Known shape: 10 nodes in one tier, one per-input entry each,
+        // static payloads (zero heap bytes) — the estimate is pinned
+        // exactly.
         let mut ix: In2t<&'static str> = In2t::new();
         let keys = ["a", "b", "c", "d", "e", "f", "g", "h", "i", "j"];
         for k in keys {
-            ix.add_node(Time(1), k);
+            ix.insert(Time(1), k, &[(0, Time(9))], None);
         }
-        let expected = 48 + btree_bytes(10, std::mem::size_of::<(&str, Node)>());
+        let expected = 48 + btree_bytes(10, std::mem::size_of::<(&str, Node)>()) + 10 * ENTRY;
         assert_eq!(ix.memory_bytes(), expected);
+    }
+
+    #[test]
+    fn memory_accounts_for_the_wake_index() {
+        // Two half-frozen tiers (one finite wake each) carried by inputs
+        // 0 and 1: two wake entries and two counters on top of the nodes.
+        let mut ix: In2t<&'static str> = In2t::new();
+        ix.insert(Time(1), "a", &[(0, Time(50))], None);
+        ix.insert(Time(2), "b", &[(0, Time(60)), (1, Time(60))], None);
+        let nodes = ix.memory_bytes();
+        // The second sweep indexes the tiers the first one half-froze.
+        ix.sweep(Time(10), StreamId(0), |_, _, _| SweepAction::Keep);
+        ix.sweep(Time(11), StreamId(0), |_, _, _| SweepAction::Keep);
+        let wake =
+            btree_bytes(2, std::mem::size_of::<(Time, Time)>()) + 2 * std::mem::size_of::<usize>();
+        assert_eq!(ix.memory_bytes(), nodes + wake);
     }
 
     #[test]
     fn restore_rebuilds_an_identical_index() {
         let mut ix: In2t<&'static str> = In2t::new();
-        let n = ix.add_node(Time(1), "A");
-        n.set_input(StreamId(0), Time(5));
-        n.set_input(StreamId(2), Time(9));
-        n.output_ve = Some(Time(5));
-        ix.note_entry_added();
-        ix.note_entry_added();
-        ix.add_node(Time(7), "B").set_input(StreamId(1), Time(8));
-        ix.note_entry_added();
+        ix.insert(Time(1), "A", &[(0, Time(5))], Some(Time(5)));
+        ix.update(Time(1), &"A", |n| n.set_input(StreamId(2), Time(9)));
+        ix.insert(Time(7), "B", &[(1, Time(8))], None);
 
         let mut back: In2t<&'static str> = In2t::new();
         for (vs, p, node) in ix.iter_all() {
             let per_input: Vec<(u32, Time)> = node.entries().map(|(s, ve)| (s.0, ve)).collect();
-            back.restore_node(vs, *p, &per_input, node.output_ve);
+            back.insert(vs, *p, &per_input, node.output_ve);
         }
         assert_eq!(back.len(), ix.len());
         assert_eq!(back.memory_bytes(), ix.memory_bytes());
@@ -441,17 +455,29 @@ mod tests {
     }
 
     #[test]
+    fn a_restored_index_rebuilds_its_wake_index_in_two_sweeps() {
+        // Restored half-frozen nodes are not indexed yet, so the first two
+        // sweeps walk the whole prefix; from then on it is incremental.
+        let mut ix: In2t<&'static str> = In2t::new();
+        ix.insert(Time(1), "A", &[(0, Time(15))], Some(Time(15)));
+        ix.insert(Time(2), "B", &[(0, Time(80))], Some(Time(80)));
+        assert_eq!(sweep(&mut ix, 12, 0), [(1, "A"), (2, "B")]);
+        assert_eq!(sweep(&mut ix, 20, 0), [(1, "A"), (2, "B")]);
+        assert_eq!(sweep(&mut ix, 30, 0), []);
+        assert_eq!(ix.len(), 1);
+    }
+
+    #[test]
     fn memory_shares_payloads_across_inputs() {
         use lmerge_temporal::Value;
         let mut ix: In2t<Value> = In2t::new();
         let p = Value::synthetic(1, 1000);
-        let n = ix.add_node(Time(1), p.clone());
-        for s in 0..10 {
-            n.set_input(StreamId(s), Time(5));
-        }
-        for _ in 0..10 {
-            ix.note_entry_added();
-        }
+        ix.insert(Time(1), p.clone(), &[(0, Time(5))], None);
+        ix.update(Time(1), &p, |n| {
+            for s in 1..10 {
+                n.set_input(StreamId(s), Time(5));
+            }
+        });
         // Ten inputs, but only one kilobyte of payload is charged.
         let mem = ix.memory_bytes();
         assert!(mem > 1000 && mem < 3000, "got {mem}");

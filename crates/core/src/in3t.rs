@@ -7,10 +7,12 @@
 //!
 //! Like `in2t`, every tier is an *ordered* map so that iteration is a pure
 //! function of the index's contents — the restorable-iteration property
-//! the durability layer's byte-identical recovery depends on.
+//! the durability layer's byte-identical recovery depends on. As in `in2t`,
+//! every change to a node goes through the index so that the wake index
+//! over the half-frozen region ([`crate::wake`]) stays exact.
 
-use crate::in2t::SweepAction;
 use crate::mem::btree_bytes;
+use crate::wake::{SweepAction, WakeIndex, WakeNode};
 use lmerge_temporal::{Payload, StreamId, Time};
 use std::collections::BTreeMap;
 
@@ -95,21 +97,48 @@ impl Node {
     }
 }
 
+impl WakeNode for Node {
+    fn wake(&self) -> Time {
+        let inputs = self.per_input.values().filter_map(|m| m.keys().next());
+        let output = self.output.keys().next();
+        inputs
+            .chain(output)
+            .min()
+            .copied()
+            .unwrap_or(Time::INFINITY)
+    }
+
+    /// An input carries the node while it holds at least one `Ve` there
+    /// (an adjust-to-removal can empty its multiset).
+    fn for_each_input(&self, mut f: impl FnMut(u32)) {
+        for (id, m) in &self.per_input {
+            if !m.is_empty() {
+                f(*id);
+            }
+        }
+    }
+}
+
 /// The three-tier index: `Vs → (Payload → Node)`, nodes holding `Ve` trees.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct In3t<P: Payload> {
     tiers: BTreeMap<Time, BTreeMap<P, Node>>,
     nodes: usize,
     payload_bytes: usize,
+    /// Which half-frozen tiers a stable can change.
+    wake: WakeIndex,
 }
 
 impl<P: Payload> In3t<P> {
-    /// An empty index.
+    /// An empty index. A restored index starts with an empty wake index
+    /// too: the first two sweeps after a restore walk the whole prefix and
+    /// rebuild it.
     pub fn new() -> In3t<P> {
         In3t {
             tiers: BTreeMap::new(),
             nodes: 0,
             payload_bytes: 0,
+            wake: WakeIndex::new(),
         }
     }
 
@@ -128,73 +157,63 @@ impl<P: Payload> In3t<P> {
         self.tiers.get(&vs).and_then(|m| m.get(payload))
     }
 
-    /// Mutable lookup.
-    pub fn get_mut(&mut self, vs: Time, payload: &P) -> Option<&mut Node> {
-        self.tiers.get_mut(&vs).and_then(|m| m.get_mut(payload))
+    /// Apply `f` to the node for `(vs, payload)`, if it exists, keeping
+    /// its wake time and carried inputs accounted.
+    #[inline]
+    pub fn update<R>(
+        &mut self,
+        vs: Time,
+        payload: &P,
+        f: impl FnOnce(&mut Node) -> R,
+    ) -> Option<R> {
+        let node = self.tiers.get_mut(&vs)?.get_mut(payload)?;
+        Some(self.wake.touch(vs, node, f))
     }
 
-    /// Get-or-create the node for `(vs, payload)`.
-    pub fn entry(&mut self, vs: Time, payload: &P) -> &mut Node {
+    /// Apply `f` to the node for `(vs, payload)`, creating it empty first
+    /// if needed.
+    pub fn upsert<R>(&mut self, vs: Time, payload: &P, f: impl FnOnce(&mut Node) -> R) -> R {
         let m = self.tiers.entry(vs).or_default();
         if !m.contains_key(payload) {
             self.nodes += 1;
             self.payload_bytes += payload.heap_bytes();
+            self.wake.admit(vs, &Node::default());
         }
-        m.entry(payload.clone()).or_default()
+        let node = m.entry(payload.clone()).or_default();
+        self.wake.touch(vs, node, f)
     }
 
-    /// Remove the node for `(vs, payload)`.
-    pub fn remove(&mut self, vs: Time, payload: &P) {
-        if let Some(m) = self.tiers.get_mut(&vs) {
-            if m.remove(payload).is_some() {
-                self.nodes -= 1;
-                self.payload_bytes -= payload.heap_bytes();
-            }
-            if m.is_empty() {
-                self.tiers.remove(&vs);
-            }
-        }
+    /// Rebuild one node from checkpoint data. The caller must not restore
+    /// a key that already exists.
+    pub fn restore_node(&mut self, vs: Time, payload: P, node: Node) {
+        self.nodes += 1;
+        self.payload_bytes += payload.heap_bytes();
+        self.wake.admit(vs, &node);
+        self.tiers.entry(vs).or_default().insert(payload, node);
     }
 
-    /// Keys of all nodes with `Vs < t`, cloned for safe mutation.
-    ///
-    /// Prefer [`In3t::sweep_half_frozen`] on hot paths: this form clones
-    /// every payload below `t`. Retained for tests and diagnostics.
-    pub fn half_frozen_keys(&self, t: Time) -> Vec<(Time, P)> {
-        self.tiers
-            .range(..t)
-            .flat_map(|(vs, m)| m.keys().map(move |p| (*vs, p.clone())))
-            .collect()
-    }
-
-    /// Visit every node with `Vs < t` exactly once, in `Vs` order, with
-    /// mutable access; nodes the visitor retires are unlinked during the
-    /// walk. The allocation-free replacement for
-    /// [`In3t::half_frozen_keys`] + per-key re-lookup.
-    pub fn sweep_half_frozen<F>(&mut self, t: Time, mut visit: F)
-    where
-        F: FnMut(Time, &P, &mut Node) -> SweepAction,
-    {
+    /// The incremental `FindHalfFrozen` for a `stable(t)` driven by input
+    /// `s` (see [`crate::wake`]): visit every node with `Vs < t` that the
+    /// stable can change, in `(Vs, payload)` order among those that act,
+    /// unlinking the ones the visitor retires. The visitor must leave
+    /// unchanged a node that `s` carries and whose `Ve` keys are all
+    /// `≥ t`, and must not change which inputs a node carries.
+    pub fn sweep(
+        &mut self,
+        t: Time,
+        s: StreamId,
+        visit: impl FnMut(Time, &P, &mut Node) -> SweepAction,
+    ) {
         let In3t {
             tiers,
             nodes,
             payload_bytes,
+            wake,
         } = self;
-        let mut emptied = false;
-        for (vs, tier) in tiers.range_mut(..t) {
-            tier.retain(|payload, node| match visit(*vs, payload, node) {
-                SweepAction::Keep => true,
-                SweepAction::Retire => {
-                    *nodes -= 1;
-                    *payload_bytes -= payload.heap_bytes();
-                    false
-                }
-            });
-            emptied |= tier.is_empty();
-        }
-        if emptied {
-            tiers.retain(|_, m| !m.is_empty());
-        }
+        wake.sweep(tiers, t, s, visit, |payload, _| {
+            *nodes -= 1;
+            *payload_bytes -= payload.heap_bytes();
+        });
     }
 
     /// The smallest live `Vs` in the index, if any (batch-discard bound).
@@ -209,6 +228,7 @@ impl<P: Payload> In3t<P> {
                 node.per_input.remove(&s.0);
             }
         }
+        self.wake.forget(s);
     }
 
     /// Iterate every node in canonical `(Vs, payload)` order — the
@@ -221,8 +241,9 @@ impl<P: Payload> In3t<P> {
 
     /// Estimated memory: tree structure, the per-`Vs` payload tiers and
     /// each node's per-stream tree (modelled by [`btree_bytes`] so the
-    /// figure is a pure function of the contents), shared payloads, and
-    /// per-stream `Ve` tree entries.
+    /// figure is a pure function of the contents), shared payloads,
+    /// per-stream `Ve` tree entries, and the wake index (derived state
+    /// whose stale entries depend on history).
     pub fn memory_bytes(&self) -> usize {
         const TIER_OVERHEAD: usize = 48;
         const VE_ENTRY: usize = std::mem::size_of::<(Time, usize)>() + 16;
@@ -236,7 +257,17 @@ impl<P: Payload> In3t<P> {
                 entries += node.per_input.values().map(BTreeMap::len).sum::<usize>();
             }
         }
-        self.tiers.len() * TIER_OVERHEAD + tables + self.payload_bytes + entries * VE_ENTRY
+        self.tiers.len() * TIER_OVERHEAD
+            + tables
+            + self.payload_bytes
+            + entries * VE_ENTRY
+            + self.wake.memory_bytes()
+    }
+}
+
+impl<P: Payload> Default for In3t<P> {
+    fn default() -> Self {
+        In3t::new()
     }
 }
 
@@ -244,10 +275,24 @@ impl<P: Payload> In3t<P> {
 mod tests {
     use super::*;
 
+    /// Sweep at `t` driven by `s` with R4's retirement rule; returns the
+    /// visited keys.
+    fn sweep(ix: &mut In3t<&'static str>, t: i64, s: u32) -> Vec<(i64, &'static str)> {
+        let mut seen = Vec::new();
+        ix.sweep(Time(t), StreamId(s), |vs, p, node| {
+            seen.push((vs.0, *p));
+            if node.max_ve(StreamId(s)).is_none_or(|m| m < Time(t)) {
+                SweepAction::Retire
+            } else {
+                SweepAction::Keep
+            }
+        });
+        seen
+    }
+
     #[test]
     fn counts_and_max_ve() {
-        let mut ix: In3t<&str> = In3t::new();
-        let n = ix.entry(Time(1), &"A");
+        let mut n = Node::default();
         n.increment(StreamId(0), Time(5));
         n.increment(StreamId(0), Time(5));
         n.increment(StreamId(0), Time(9));
@@ -259,19 +304,22 @@ mod tests {
     }
 
     #[test]
-    fn entry_is_idempotent_on_node_count() {
+    fn upsert_is_idempotent_on_node_count() {
         let mut ix: In3t<&str> = In3t::new();
-        ix.entry(Time(1), &"A");
-        ix.entry(Time(1), &"A");
+        ix.upsert(Time(1), &"A", |n| n.increment(StreamId(0), Time(5)));
+        ix.upsert(Time(1), &"A", |n| n.increment(StreamId(0), Time(5)));
         assert_eq!(ix.len(), 1);
-        ix.remove(Time(1), &"A");
-        assert!(ix.is_empty());
+        assert_eq!(ix.get(Time(1), &"A").unwrap().count_of(StreamId(0)), 2);
+        assert_eq!(
+            ix.update(Time(2), &"A", |_| ()),
+            None,
+            "update never creates"
+        );
     }
 
     #[test]
     fn output_multiset() {
-        let mut ix: In3t<&str> = In3t::new();
-        let n = ix.entry(Time(1), &"A");
+        let mut n = Node::default();
         n.out_increment(Time(5));
         n.out_increment(Time(5));
         assert_eq!(n.count_out(), 2);
@@ -281,42 +329,66 @@ mod tests {
     }
 
     #[test]
-    fn half_frozen_scan() {
-        let mut ix: In3t<&str> = In3t::new();
-        ix.entry(Time(1), &"A");
-        ix.entry(Time(8), &"B");
-        assert_eq!(ix.half_frozen_keys(Time(5)), vec![(Time(1), "A")]);
-    }
-
-    #[test]
     fn sweep_retires_in_place_with_bookkeeping() {
         let mut ix: In3t<&str> = In3t::new();
-        ix.entry(Time(1), &"A").increment(StreamId(0), Time(3));
-        ix.entry(Time(5), &"B").increment(StreamId(0), Time(90));
-        ix.entry(Time(9), &"C");
-        let mut seen = Vec::new();
-        ix.sweep_half_frozen(Time(6), |vs, p, node| {
-            seen.push((vs, *p));
-            if node.max_ve(StreamId(0)).is_none_or(|m| m < Time(6)) {
-                SweepAction::Retire
-            } else {
-                SweepAction::Keep
-            }
-        });
-        assert_eq!(seen, vec![(Time(1), "A"), (Time(5), "B")]);
+        ix.upsert(Time(1), &"A", |n| n.increment(StreamId(0), Time(3)));
+        ix.upsert(Time(5), &"B", |n| n.increment(StreamId(0), Time(90)));
+        ix.upsert(Time(9), &"C", |_| ());
+        assert_eq!(sweep(&mut ix, 6, 0), [(1, "A"), (5, "B")]);
         assert_eq!(ix.len(), 2, "A retired, B and C live");
         assert!(ix.get(Time(1), &"A").is_none());
         assert_eq!(ix.min_live_vs(), Some(Time(5)));
     }
 
     #[test]
+    fn sweep_skips_half_frozen_nodes_it_cannot_change() {
+        let mut ix: In3t<&str> = In3t::new();
+        ix.upsert(Time(1), &"A", |n| {
+            n.increment(StreamId(0), Time(50));
+            n.out_increment(Time(50));
+        });
+        ix.upsert(Time(2), &"B", |n| {
+            n.increment(StreamId(0), Time(40));
+            n.out_increment(Time(15));
+        });
+        assert_eq!(sweep(&mut ix, 10, 0), [(1, "A"), (2, "B")]);
+        // The young tiers are walked once more, then indexed.
+        assert_eq!(sweep(&mut ix, 12, 0), [(1, "A"), (2, "B")]);
+        // B's output bucket at 15 falls below 20; A sleeps until 50.
+        assert_eq!(sweep(&mut ix, 20, 0), [(2, "B")]);
+        assert_eq!(sweep(&mut ix, 30, 0), [(2, "B")], "still below: revisit");
+        // A data-path adjust lowering A's end wakes it.
+        ix.update(Time(1), &"A", |n| {
+            n.decrement(StreamId(0), Time(50));
+            n.increment(StreamId(0), Time(33));
+        });
+        assert_eq!(sweep(&mut ix, 35, 0), [(1, "A"), (2, "B")]);
+    }
+
+    #[test]
+    fn an_emptied_multiset_no_longer_carries_the_node() {
+        let mut ix: In3t<&str> = In3t::new();
+        ix.upsert(Time(1), &"A", |n| {
+            n.increment(StreamId(0), Time(50));
+            n.increment(StreamId(1), Time(50));
+        });
+        sweep(&mut ix, 10, 0);
+        // Input 1 removes its only copy (adjust to Ve = Vs): it now lacks
+        // A, so its stable must visit (and retire) A.
+        ix.update(Time(1), &"A", |n| n.decrement(StreamId(1), Time(50)));
+        assert_eq!(sweep(&mut ix, 20, 1), [(1, "A")]);
+        assert!(ix.is_empty());
+    }
+
+    #[test]
     fn memory_accounts_for_tier_trees() {
         use crate::mem::btree_bytes;
         let mut ix: In3t<&'static str> = In3t::new();
-        let n = ix.entry(Time(1), &"A");
-        n.increment(StreamId(0), Time(5));
-        n.increment(StreamId(1), Time(6));
-        n.out_increment(Time(5));
+        ix.upsert(Time(1), &"A", |n| {
+            n.increment(StreamId(0), Time(5));
+            n.increment(StreamId(1), Time(6));
+            n.out_increment(Time(5));
+        });
         // One tier map (1 node), one per-input map (2 streams), three Ve
         // entries (two input, one output) — pinned exactly.
         let expected = 48
@@ -324,22 +396,28 @@ mod tests {
             + btree_bytes(2, std::mem::size_of::<(u32, VeCounts)>())
             + 3 * (std::mem::size_of::<(Time, usize)>() + 16);
         assert_eq!(ix.memory_bytes(), expected);
+        // Once indexed (the second sweep after it is half frozen), the
+        // node adds one wake entry and two counters.
+        ix.sweep(Time(3), StreamId(0), |_, _, _| SweepAction::Keep);
+        ix.sweep(Time(4), StreamId(0), |_, _, _| SweepAction::Keep);
+        let wake =
+            btree_bytes(1, std::mem::size_of::<(Time, Time)>()) + 2 * std::mem::size_of::<usize>();
+        assert_eq!(ix.memory_bytes(), expected + wake);
     }
 
     #[test]
     fn iter_all_walks_canonical_order_and_supports_rebuild() {
         let mut ix: In3t<&'static str> = In3t::new();
-        ix.entry(Time(5), &"B").increment(StreamId(1), Time(9));
-        let n = ix.entry(Time(1), &"A");
-        n.increment(StreamId(0), Time(5));
-        n.increment(StreamId(0), Time(5));
-        n.out_increment(Time(5));
+        ix.upsert(Time(5), &"B", |n| n.increment(StreamId(1), Time(9)));
+        ix.upsert(Time(1), &"A", |n| {
+            n.increment(StreamId(0), Time(5));
+            n.increment(StreamId(0), Time(5));
+            n.out_increment(Time(5));
+        });
 
         let mut back: In3t<&'static str> = In3t::new();
         for (vs, p, node) in ix.iter_all() {
-            let restored = back.entry(vs, p);
-            restored.per_input = node.per_input.clone();
-            restored.output = node.output.clone();
+            back.restore_node(vs, *p, node.clone());
         }
         assert_eq!(back.len(), ix.len());
         assert_eq!(back.memory_bytes(), ix.memory_bytes());
@@ -354,9 +432,10 @@ mod tests {
     #[test]
     fn purge_stream_drops_only_that_stream() {
         let mut ix: In3t<&str> = In3t::new();
-        let n = ix.entry(Time(1), &"A");
-        n.increment(StreamId(0), Time(5));
-        n.increment(StreamId(1), Time(6));
+        ix.upsert(Time(1), &"A", |n| {
+            n.increment(StreamId(0), Time(5));
+            n.increment(StreamId(1), Time(6));
+        });
         ix.purge_stream(StreamId(0));
         let n = ix.get(Time(1), &"A").unwrap();
         assert_eq!(n.count_of(StreamId(0)), 0);

@@ -9,10 +9,11 @@
 //! non-chattiness bound.
 
 use crate::api::{BatchMeta, InputHealth, LogicalMerge};
-use crate::in2t::{In2t, SweepAction};
+use crate::in2t::In2t;
 use crate::inputs::{InputState, Inputs};
 use crate::policy::{AdjustPolicy, InsertPolicy, MergePolicy};
 use crate::stats::{InputCounters, MergeStats, PerInput};
+use crate::wake::SweepAction;
 use lmerge_properties::RLevel;
 use lmerge_temporal::{Element, Payload, StreamId, Time};
 
@@ -144,7 +145,34 @@ impl<P: Payload> LMergeR3<P> {
     }
 
     fn on_insert(&mut self, s: StreamId, e: &lmerge_temporal::Event<P>, out: &mut Vec<Element<P>>) {
-        match self.index.get_mut(e.vs, &e.payload) {
+        // Line 12: another input already brought the event; just record
+        // this stream's view of its end time. A pending Quorum policy may
+        // now be satisfied — all on the one lookup, with bookkeeping
+        // deferred past it.
+        let policy = self.policy.insert;
+        let leader = self.leader;
+        let existing = self.index.update(e.vs, &e.payload, |node| {
+            let was_new = node.set_input(s, e.ve);
+            let mut emit_now = false;
+            if node.output_ve.is_none() {
+                emit_now = match policy {
+                    InsertPolicy::Quorum(k) => node.support() >= k,
+                    InsertPolicy::FollowLeader => leader.is_none_or(|l| l == s),
+                    _ => false,
+                };
+                if emit_now {
+                    node.output_ve = Some(e.ve);
+                }
+            }
+            (was_new, emit_now)
+        });
+        let emit = match existing {
+            Some((was_new, emit_now)) => {
+                if was_new {
+                    self.note_live_entry(s);
+                }
+                emit_now
+            }
             None => {
                 // Line 6: a missing node below MaxStable was already frozen
                 // (and possibly deleted); the element is stale.
@@ -152,56 +180,26 @@ impl<P: Payload> LMergeR3<P> {
                     self.stats.dropped += 1;
                     return;
                 }
-                let emit = match self.policy.insert {
+                let emit = match policy {
                     InsertPolicy::Immediate => true,
                     InsertPolicy::WaitHalfFrozen => false,
                     InsertPolicy::Quorum(k) => 1 >= k,
                     // Before any punctuation there is no leader; stay
                     // responsive and treat every input as leading.
-                    InsertPolicy::FollowLeader => self.leader.is_none_or(|l| l == s),
+                    InsertPolicy::FollowLeader => leader.is_none_or(|l| l == s),
                 };
-                let node = self.index.add_node(e.vs, e.payload.clone());
-                node.set_input(s, e.ve);
-                if emit {
-                    node.output_ve = Some(e.ve);
-                }
-                self.index.note_entry_added();
+                let per_input = [(s.0, e.ve)];
+                self.index
+                    .insert(e.vs, e.payload.clone(), &per_input, emit.then_some(e.ve));
                 self.note_live_entry(s);
-                if emit {
-                    self.stats.inserts_out += 1;
-                    out.push(Element::Insert(e.clone()));
-                } else {
-                    self.stats.dropped += 1;
-                }
+                emit
             }
-            Some(node) => {
-                // Line 12: another input already brought the event; just
-                // record this stream's view of its end time. A pending
-                // Quorum policy may now be satisfied — all on the one
-                // lookup's borrow, with bookkeeping deferred past it.
-                let was_new = node.set_input(s, e.ve);
-                let mut emit_now = false;
-                if node.output_ve.is_none() {
-                    emit_now = match self.policy.insert {
-                        InsertPolicy::Quorum(k) => node.support() >= k,
-                        InsertPolicy::FollowLeader => self.leader.is_none_or(|l| l == s),
-                        _ => false,
-                    };
-                    if emit_now {
-                        node.output_ve = Some(e.ve);
-                    }
-                }
-                if was_new {
-                    self.index.note_entry_added();
-                    self.note_live_entry(s);
-                }
-                if emit_now {
-                    self.stats.inserts_out += 1;
-                    out.push(Element::Insert(e.clone()));
-                } else {
-                    self.stats.dropped += 1;
-                }
-            }
+        };
+        if emit {
+            self.stats.inserts_out += 1;
+            out.push(Element::Insert(e.clone()));
+        } else {
+            self.stats.dropped += 1;
         }
     }
 
@@ -213,38 +211,43 @@ impl<P: Payload> LMergeR3<P> {
         ve: Time,
         out: &mut Vec<Element<P>>,
     ) {
-        // Line 13: adjusts for unknown nodes are stale — drop.
         let max_stable = self.max_stable;
-        let Some(node) = self.index.get_mut(vs, payload) else {
+        let eager = self.policy.adjust == AdjustPolicy::Eager;
+        let touched = self.index.update(vs, payload, |node| {
+            let was_new = node.set_input(s, ve);
+            // Location 1 (Section V-A): the default policy absorbs the
+            // adjust; the eager policy reflects it immediately when doing
+            // so cannot contradict the output's stable point. Either way
+            // the node is touched exactly once — no second lookup.
+            let mut emitted = None;
+            if eager {
+                if let Some(out_ve) = node.output_ve {
+                    // The new end must itself respect the output's stable
+                    // point (a removal counts as legal only while Vs is
+                    // unfrozen).
+                    let legal = if ve == vs {
+                        vs >= max_stable
+                    } else {
+                        ve >= max_stable
+                    };
+                    if legal && out_ve != ve {
+                        // A removal (ve == vs) takes the event out of the
+                        // output entirely: the node reverts to "not
+                        // emitted" so later activity may legally re-insert
+                        // it.
+                        node.output_ve = if ve == vs { None } else { Some(ve) };
+                        emitted = Some(out_ve);
+                    }
+                }
+            }
+            (was_new, emitted)
+        });
+        // Line 13: adjusts for unknown nodes are stale — drop.
+        let Some((was_new, emitted)) = touched else {
             self.stats.dropped += 1;
             return;
         };
-        let was_new = node.set_input(s, ve);
-        // Location 1 (Section V-A): the default policy absorbs the adjust;
-        // the eager policy reflects it immediately when doing so cannot
-        // contradict the output's stable point. Either way the node is
-        // touched exactly once — no second lookup.
-        let mut emitted = None;
-        if self.policy.adjust == AdjustPolicy::Eager {
-            if let Some(out_ve) = node.output_ve {
-                // The new end must itself respect the output's stable point
-                // (a removal counts as legal only while Vs is unfrozen).
-                let legal = if ve == vs {
-                    vs >= max_stable
-                } else {
-                    ve >= max_stable
-                };
-                if legal && out_ve != ve {
-                    // A removal (ve == vs) takes the event out of the
-                    // output entirely: the node reverts to "not emitted"
-                    // so later activity may legally re-insert it.
-                    node.output_ve = if ve == vs { None } else { Some(ve) };
-                    emitted = Some(out_ve);
-                }
-            }
-        }
         if was_new {
-            self.index.note_entry_added();
             self.note_live_entry(s);
         }
         if let Some(out_ve) = emitted {
@@ -260,13 +263,13 @@ impl<P: Payload> LMergeR3<P> {
             return;
         }
         // Lines 17–27: reconcile every node that is (or becomes) half frozen
-        // with the view of the stream that is driving progress. One in-place
-        // sweep: no payload clones, no per-key re-lookup, retirement during
-        // the walk.
+        // with the view of the stream that is driving progress. The sweep
+        // skips half-frozen nodes this stable cannot change (see
+        // `crate::wake`), retiring settled nodes during the walk.
         let max_stable = self.max_stable;
         let stats = &mut self.stats;
         let live_entries = &mut self.live_entries;
-        self.index.sweep_half_frozen(t, |vs, payload, node| {
+        self.index.sweep(t, s, |vs, payload, node| {
             // Line 20: if the driving stream lacks the event entirely, its
             // effective end time is Vs — i.e. the event does not exist.
             let in_ve = node.input_ve(s).unwrap_or(vs);
@@ -496,7 +499,7 @@ impl<P: Payload> LogicalMerge<P> for LMergeR3<P> {
                 .collect();
             let output_ve = entry.output.first().map(|&(ve, _)| ve);
             self.index
-                .restore_node(entry.vs, entry.payload.clone(), &per_input, output_ve);
+                .insert(entry.vs, entry.payload.clone(), &per_input, output_ve);
         }
         true
     }

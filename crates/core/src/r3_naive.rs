@@ -11,9 +11,9 @@
 //! Figures 2 and 7 measure.
 
 use crate::api::{InputHealth, LogicalMerge};
-use crate::in2t::SweepAction;
 use crate::inputs::Inputs;
 use crate::stats::{InputCounters, MergeStats, PerInput};
+use crate::wake::SweepAction;
 use lmerge_properties::RLevel;
 use lmerge_temporal::{Element, Payload, StreamId, Time};
 use std::collections::BTreeMap;

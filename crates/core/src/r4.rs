@@ -9,11 +9,11 @@
 //! input exactly before propagating a `stable`).
 
 use crate::api::{BatchMeta, InputHealth, LogicalMerge};
-use crate::in2t::SweepAction;
 use crate::in3t::{In3t, Node};
 use crate::inputs::{InputState, Inputs};
 use crate::policy::RobustnessPolicy;
 use crate::stats::{InputCounters, MergeStats, PerInput};
+use crate::wake::SweepAction;
 use lmerge_properties::RLevel;
 use lmerge_temporal::{Element, Payload, StreamId, Time};
 
@@ -264,26 +264,32 @@ impl<P: Payload> LMergeR4<P> {
     }
 
     fn on_insert(&mut self, s: StreamId, e: &lmerge_temporal::Event<P>, out: &mut Vec<Element<P>>) {
+        // Lines 9–11: output only while the key is unfrozen and this input
+        // has presented more events than we have emitted.
+        let max_stable = self.max_stable;
+        let absorb = |node: &mut Node| {
+            node.increment(s, e.ve);
+            let emit = e.vs >= max_stable && node.count_of(s) > node.count_out();
+            if emit {
+                node.out_increment(e.ve);
+            }
+            emit
+        };
         // Lines 4–7: below MaxStable only an existing node may still absorb
         // the element; a missing one was frozen and dropped. One lookup
-        // either way — `entry` is only taken on the unfrozen side.
-        let max_stable = self.max_stable;
-        let node = if e.vs < max_stable {
-            match self.index.get_mut(e.vs, &e.payload) {
-                Some(node) => node,
+        // either way — a node is only created on the unfrozen side.
+        let emitted = if e.vs < max_stable {
+            match self.index.update(e.vs, &e.payload, absorb) {
+                Some(emitted) => emitted,
                 None => {
                     self.stats.dropped += 1;
                     return;
                 }
             }
         } else {
-            self.index.entry(e.vs, &e.payload)
+            self.index.upsert(e.vs, &e.payload, absorb)
         };
-        node.increment(s, e.ve);
-        // Lines 9–11: output only while the key is unfrozen and this input
-        // has presented more events than we have emitted.
-        if e.vs >= max_stable && node.count_of(s) > node.count_out() {
-            node.out_increment(e.ve);
+        if emitted {
             self.stats.inserts_out += 1;
             out.push(Element::Insert(e.clone()));
         } else {
@@ -294,24 +300,24 @@ impl<P: Payload> LMergeR4<P> {
 
     fn on_adjust(&mut self, s: StreamId, payload: &P, vs: Time, vold: Time, ve: Time) {
         // Lines 13–15 (absorbed silently; output reconciled lazily).
-        let Some(node) = self.index.get_mut(vs, payload) else {
-            self.stats.dropped += 1;
-            return;
-        };
-        let mut removed = false;
-        if node.decrement(s, vold) {
+        let absorbed = self.index.update(vs, payload, |node| {
+            if !node.decrement(s, vold) {
+                return None;
+            }
             if ve != vs {
                 node.increment(s, ve);
-            } else {
-                removed = true;
             }
-        } else {
-            self.stats.dropped += 1;
-        }
-        if removed {
-            if let Some(c) = self.live_entries.get_mut(s.0 as usize) {
-                *c = c.saturating_sub(1);
+            Some(ve == vs)
+        });
+        match absorbed {
+            // A removal (`ve == vs`) frees one live entry.
+            Some(Some(true)) => {
+                if let Some(c) = self.live_entries.get_mut(s.0 as usize) {
+                    *c = c.saturating_sub(1);
+                }
             }
+            Some(Some(false)) => {}
+            _ => self.stats.dropped += 1,
         }
     }
 
@@ -319,12 +325,13 @@ impl<P: Payload> LMergeR4<P> {
         if t <= self.max_stable {
             return;
         }
-        // One in-place sweep over the half-frozen prefix: no key clones, no
-        // re-lookups, retirement during the walk.
+        // One sweep over the nodes this stable can change (see
+        // `crate::wake`): no key clones, no re-lookups, retirement during
+        // the walk.
         let old_stable = self.max_stable;
         let stats = &mut self.stats;
         let live_entries = &mut self.live_entries;
-        self.index.sweep_half_frozen(t, |vs, payload, node| {
+        self.index.sweep(t, s, |vs, payload, node| {
             // Lines 20–22: first half-freeze of the key → equalize counts.
             if vs >= old_stable {
                 Self::adjust_output_count(node, payload, vs, s, stats, out);
@@ -519,22 +526,25 @@ impl<P: Payload> LogicalMerge<P> for LMergeR4<P> {
         self.live_entries = image.live_entries.clone();
         self.index = In3t::new();
         for entry in &image.entries {
-            let node = self.index.entry(entry.vs, &entry.payload);
-            node.per_input = entry
-                .per_input
-                .iter()
-                .map(|(id, counts)| {
-                    (
-                        *id,
-                        counts.iter().map(|&(ve, c)| (ve, c as usize)).collect(),
-                    )
-                })
-                .collect();
-            node.output = entry
-                .output
-                .iter()
-                .map(|&(ve, c)| (ve, c as usize))
-                .collect();
+            let node = Node {
+                per_input: entry
+                    .per_input
+                    .iter()
+                    .map(|(id, counts)| {
+                        (
+                            *id,
+                            counts.iter().map(|&(ve, c)| (ve, c as usize)).collect(),
+                        )
+                    })
+                    .collect(),
+                output: entry
+                    .output
+                    .iter()
+                    .map(|&(ve, c)| (ve, c as usize))
+                    .collect(),
+            };
+            self.index
+                .restore_node(entry.vs, entry.payload.clone(), node);
         }
         true
     }

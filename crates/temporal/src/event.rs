@@ -87,6 +87,8 @@ mod tests {
         assert!(!e.active_at(Time(4)));
     }
 
+    // The check is a `debug_assert!`: release builds do not have it.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "non-empty")]
     fn empty_interval_panics_in_debug() {
